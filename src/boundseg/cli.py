@@ -393,7 +393,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     _pin_threads(args.threads)
     _setup_logging()
-    _log_resolved(args)
 
     from .errors import DataError, NumericError
 
@@ -406,6 +405,7 @@ def main(argv=None) -> int:
             args.tau = DEFAULT_TAU
         if args.link_radius is None:
             args.link_radius = DEFAULT_LINK_RADIUS
+    _log_resolved(args)
 
     try:
         return args.func(args)

@@ -10,10 +10,10 @@ order and all ties break lexicographically.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import DegenerateContour, EmptyResult, OpenRegion
 
@@ -310,27 +310,7 @@ def close_and_fill(path: list[tuple[int, int]], shape: tuple[int, int]) -> np.nd
                 raise OpenRegion(f"contour pixel ({y}, {x}) outside frame {h}x{w}")
             curve[y, x] = True
 
-    # flood the exterior from every background border pixel
-    exterior = np.zeros((h, w), dtype=bool)
-    todo: deque[tuple[int, int]] = deque()
-    for y in range(h):
-        for x in (0, w - 1):
-            if not curve[y, x] and not exterior[y, x]:
-                exterior[y, x] = True
-                todo.append((y, x))
-    for x in range(w):
-        for y in (0, h - 1):
-            if not curve[y, x] and not exterior[y, x]:
-                exterior[y, x] = True
-                todo.append((y, x))
-    while todo:
-        y, x = todo.popleft()
-        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
-            if 0 <= ny < h and 0 <= nx < w and not curve[ny, nx] and not exterior[ny, nx]:
-                exterior[ny, nx] = True
-                todo.append((ny, nx))
-
-    mask = ~exterior
+    mask = ndimage.binary_fill_holes(curve)
     if not (mask & ~curve).any():
         raise OpenRegion("closed curve encloses no interior")
     return mask.astype(np.uint8)

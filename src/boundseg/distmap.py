@@ -8,6 +8,7 @@ boundary pixels therefore carry the maximum value 1.
 from __future__ import annotations
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import EmptyMask, EmptySiteSet
 
@@ -29,44 +30,11 @@ def boundary_pixels(mask: np.ndarray) -> np.ndarray:
     return np.argwhere(boundary)
 
 
-# stands in for +inf: parabolas this high never win against any real
-# squared pixel distance, and it keeps the envelope arithmetic NaN-free
-_FAR = 1e20
-
-
-def _edt_1d_sq(f: np.ndarray) -> np.ndarray:
-    """Exact 1-D squared distance transform of a sampled function
-    (lower envelope of parabolas)."""
-    n = f.shape[0]
-    d = np.empty(n, dtype=np.float64)
-    v = np.zeros(n, dtype=np.intp)  # parabola sites
-    z = np.empty(n + 1, dtype=np.float64)  # envelope breakpoints
-    k = 0
-    z[0] = -np.inf
-    z[1] = np.inf
-    for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = np.inf
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
-    return d
-
-
 def euclidean_dt(sites: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Exact minimal Euclidean distance from every pixel to the nearest site.
 
     `sites` is an (k, 2) array of (row, col) coordinates inside `shape`.
-    Two 1-D passes over squared distances keep this exact (not a chamfer
-    approximation).
+    SciPy's exact transform does the work (not a chamfer approximation).
     """
     sites = np.asarray(sites)
     h, w = shape
@@ -77,14 +45,9 @@ def euclidean_dt(sites: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     if (sites < 0).any() or (sites[:, 0] >= h).any() or (sites[:, 1] >= w).any():
         raise EmptySiteSet("site coordinates fall outside the grid")
 
-    f = np.full((h, w), _FAR, dtype=np.float64)
-    f[sites[:, 0], sites[:, 1]] = 0.0
-    # pass 1: down each column, pass 2: along each row
-    for j in range(w):
-        f[:, j] = _edt_1d_sq(f[:, j])
-    for i in range(h):
-        f[i, :] = _edt_1d_sq(f[i, :])
-    return np.sqrt(f)
+    grid = np.ones((h, w), dtype=bool)
+    grid[sites[:, 0], sites[:, 1]] = False
+    return ndimage.distance_transform_edt(grid)
 
 
 def mask_to_distance_map(mask: np.ndarray) -> np.ndarray:

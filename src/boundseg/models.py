@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -25,6 +25,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .imgio import read_fmap, read_pgm_image, read_pgm_mask
+from .metrics import dice
 from .nn import checkpoint as ckpt
 from .nn import ops
 from .nn.layers import (
@@ -368,13 +369,6 @@ class EpochRecord(NamedTuple):
     val_dice: float | None  # None when the manifest has no test split
 
 
-def _mask_dice(a: np.ndarray, b: np.ndarray) -> float:
-    a = a.astype(bool)
-    b = b.astype(bool)
-    total = int(a.sum()) + int(b.sum())
-    return 1.0 if total == 0 else 2.0 * int((a & b).sum()) / total
-
-
 def _load_split(records, split: str, dtype, with_dmaps: bool):
     imgs, masks, dmaps = [], [], []
     for r in records:
@@ -422,6 +416,8 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
     rng = np.random.default_rng(seed)
     log: list[EpochRecord] = []
 
+    # sgd_step re-zeroes the buffers in place after every batch
+    model.zero_grads()
     for epoch in range(schedule.total_epochs):
         lam = lambdas[epoch]
         order = rng.permutation(n)
@@ -430,7 +426,6 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
             idx = order[list(batch)]
             x = x_all[idx]
             pred, logits = model.forward(x)
-            model.zero_grads()
             g_pred = g_logits = None
             l2 = ce = 0.0
             if lam > 0.0:
@@ -454,7 +449,7 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
         val_dice = None
         if val_imgs:
             preds = segment_batch(np.stack(val_imgs), model)
-            val_dice = float(np.mean([_mask_dice(p, m)
+            val_dice = float(np.mean([dice(p, m)
                                       for p, m in zip(preds, val_masks)]))
         log.append(EpochRecord(
             epoch=epoch,
@@ -542,50 +537,33 @@ def predict_dmap(img: np.ndarray, model, raw: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # persistence
 
-def _config_to_dict(config: PipelineConfig) -> dict:
-    return {
-        "input_size": list(config.input_size),
-        "encoder": {
-            "in_channels": config.encoder.in_channels,
-            "widths": list(config.encoder.widths),
-            "pools": list(config.encoder.pools),
-            "dilations": list(config.encoder.dilations),
-        },
-        "head": {
-            "project": config.head.project,
-            "deconv_widths": list(config.head.deconv_widths),
-            "out_channels": config.head.out_channels,
-        },
-        "classifier": {
-            "widths": list(config.classifier.widths),
-            "dilations": (None if config.classifier.dilations is None
-                          else list(config.classifier.dilations)),
-            "mirror": config.classifier.mirror,
-        },
-    }
-
-
-def _config_from_dict(d: dict) -> PipelineConfig:
-    enc = d["encoder"]
-    head = d["head"]
-    cls = d["classifier"]
-    return PipelineConfig(
-        input_size=tuple(d["input_size"]),
-        encoder=EncoderSpec(
-            in_channels=enc["in_channels"],
-            widths=tuple(enc["widths"]),
-            pools=tuple(bool(p) for p in enc["pools"]),
-            dilations=tuple(enc["dilations"])),
-        head=HeadSpec(
-            project=head["project"],
-            deconv_widths=tuple(head["deconv_widths"]),
-            out_channels=head["out_channels"]),
-        classifier=ClassifierSpec(
-            widths=tuple(cls["widths"]),
-            dilations=(None if cls["dilations"] is None
-                       else tuple(cls["dilations"])),
-            mirror=cls["mirror"]),
-    )
+def _config_from_dict(meta: dict) -> PipelineConfig:
+    """The pipeline config of a parsed sidecar; a missing key or a value
+    of the wrong type is a data error, not a crash."""
+    try:
+        d = meta["config"]
+        enc = d["encoder"]
+        head = d["head"]
+        cls = d["classifier"]
+        return PipelineConfig(
+            input_size=tuple(d["input_size"]),
+            encoder=EncoderSpec(
+                in_channels=enc["in_channels"],
+                widths=tuple(enc["widths"]),
+                pools=tuple(bool(p) for p in enc["pools"]),
+                dilations=tuple(enc["dilations"])),
+            head=HeadSpec(
+                project=head["project"],
+                deconv_widths=tuple(head["deconv_widths"]),
+                out_channels=head["out_channels"]),
+            classifier=ClassifierSpec(
+                widths=tuple(cls["widths"]),
+                dilations=(None if cls["dilations"] is None
+                           else tuple(cls["dilations"])),
+                mirror=cls["mirror"]),
+        )
+    except (KeyError, TypeError, ValueError) as e:
+        raise IoFailure(f"malformed config sidecar: {type(e).__name__}: {e}") from e
 
 
 def _sidecar(path) -> Path:
@@ -598,7 +576,7 @@ def save_model(path, model: SegmentationModel) -> None:
     ckpt.save_checkpoint(path, [(n, p.data) for n, p in model.named_params()])
     try:
         _sidecar(path).write_text(
-            json.dumps({"config": _config_to_dict(model.config)},
+            json.dumps({"config": asdict(model.config)},
                        sort_keys=True, separators=(",", ":")) + "\n")
     except OSError as e:
         raise IoFailure(f"cannot write config sidecar for {path}: {e}") from e
@@ -613,7 +591,7 @@ def load_model(path, dtype=np.float32) -> SegmentationModel:
         raise IoFailure(f"cannot read config sidecar {sidecar}: {e}") from e
     except json.JSONDecodeError as e:
         raise IoFailure(f"malformed config sidecar {sidecar}: {e}") from e
-    model = SegmentationModel(_config_from_dict(meta["config"]), seed=0, dtype=dtype)
+    model = SegmentationModel(_config_from_dict(meta), seed=0, dtype=dtype)
     arrays = ckpt.load_checkpoint(path)
     for name, p in model.named_params():
         if name not in arrays:

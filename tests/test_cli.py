@@ -1,5 +1,8 @@
 """Command-line surface: flag contracts, exit codes, determinism."""
 
+import json
+import logging
+import shutil
 import subprocess
 import sys
 
@@ -14,6 +17,7 @@ from boundseg.cli import (
     main,
     read_train_config,
 )
+from boundseg.contour import DEFAULT_LINK_RADIUS, DEFAULT_TAU
 from boundseg.distmap import mask_to_distance_map
 from boundseg.errors import InvalidParams
 from boundseg.imgio import read_fmap, read_pgm_mask, write_pgm
@@ -262,6 +266,31 @@ def test_segment_missing_checkpoint_is_data_error(dataset, tmp_path):
     assert main(["segment", "--ckpt", str(tmp_path / "none.bseg"),
                  "--image", str(img),
                  "--out", str(tmp_path / "o.pgm")]) == EXIT_DATA
+
+
+def test_segment_sidecar_missing_key_is_data_error(checkpoint, dataset, tmp_path):
+    ck = tmp_path / "model.bseg"
+    shutil.copyfile(checkpoint, ck)
+    meta = json.loads(checkpoint.with_suffix(".json").read_text())
+    del meta["config"]["head"]["project"]
+    ck.with_suffix(".json").write_text(json.dumps(meta))
+    res = run_cli("segment", "--ckpt", ck,
+                  "--image", dataset / "images" / "test_0000.pgm",
+                  "--out", tmp_path / "o.pgm")
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert "IoFailure" in res.stderr
+
+
+def test_segment_logs_resolved_defaults(checkpoint, dataset, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="boundseg")
+    assert main(["segment", "--ckpt", str(checkpoint),
+                 "--image", str(dataset / "images" / "test_0000.pgm"),
+                 "--out", str(tmp_path / "o.pgm")]) == EXIT_OK
+    [line] = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("resolved config")]
+    assert f"'tau': {DEFAULT_TAU!r}" in line
+    assert f"'link_radius': {DEFAULT_LINK_RADIUS!r}" in line
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import itertools
+from collections import deque
 
 import numpy as np
 import pytest
@@ -389,6 +390,57 @@ def test_close_and_fill_straight_line_has_no_interior():
 def test_close_and_fill_short_path_raises():
     with pytest.raises(DegenerateContour):
         close_and_fill([(0, 0), (0, 1)], (4, 4))
+
+
+def bfs_fill(path, shape):
+    """Oracle: rasterize the closed polyline, flood the exterior 4-connected
+    from every background border pixel, keep the rest.  Returns the uint8
+    mask, or the error class close_and_fill must raise."""
+    h, w = shape
+    curve = np.zeros(shape, dtype=bool)
+    for p, q in zip(path, path[1:] + path[:1]):
+        for y, x in bresenham(p, q):
+            if not (0 <= y < h and 0 <= x < w):
+                return OpenRegion
+            curve[y, x] = True
+    exterior = np.zeros(shape, dtype=bool)
+    todo = deque((y, x) for y in range(h) for x in range(w)
+                 if (y in (0, h - 1) or x in (0, w - 1)) and not curve[y, x])
+    for y, x in todo:
+        exterior[y, x] = True
+    while todo:
+        y, x = todo.popleft()
+        for ny, nx in ((y - 1, x), (y + 1, x), (y, x - 1), (y, x + 1)):
+            if 0 <= ny < h and 0 <= nx < w and not (curve[ny, nx] or exterior[ny, nx]):
+                exterior[ny, nx] = True
+                todo.append((ny, nx))
+    if not (~exterior & ~curve).any():
+        return OpenRegion
+    return (~exterior).astype(np.uint8)
+
+
+def test_close_and_fill_matches_bfs_oracle():
+    rng = np.random.default_rng(20190107)
+    outcomes = {"mask": 0, "error": 0}
+    for _ in range(400):
+        h, w = (int(v) for v in rng.integers(5, 33, size=2))
+        n = int(rng.integers(8, 16))
+        # in a quarter of the cases vertices may fall just outside the frame
+        m = 1 if rng.random() < 0.25 else 0
+        path = [(int(rng.integers(-m, h + m)), int(rng.integers(-m, w + m)))
+                for _ in range(n)]
+        want = bfs_fill(path, (h, w))
+        if isinstance(want, np.ndarray):
+            got = close_and_fill(path, (h, w))
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, want), path
+            outcomes["mask"] += 1
+        else:
+            with pytest.raises(want):
+                close_and_fill(path, (h, w))
+            outcomes["error"] += 1
+    # both branches are exercised
+    assert min(outcomes.values()) > 40, outcomes
 
 
 # --- full chain ---

@@ -375,8 +375,8 @@ def test_load_model_rejects_mismatched_checkpoint(tmp_path):
         classifier=ClassifierSpec(widths=(4, 4)))
     import json
     meta = json.loads(ck.with_suffix(".json").read_text())
-    from boundseg.models import _config_to_dict
-    meta["config"] = _config_to_dict(other_cfg)
+    from dataclasses import asdict
+    meta["config"] = asdict(other_cfg)
     ck.with_suffix(".json").write_text(json.dumps(meta))
     with pytest.raises(ShapeMismatch):
         load_model(ck)
