@@ -112,6 +112,8 @@ def read_train_config(path):
         text = path.read_text()
     except OSError as exc:
         raise IoFailure(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidParams(f"config {path} is not UTF-8 text: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -351,7 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_distmap)
 
     p = sub.add_parser("train", help="train a segmentation model")
-    p.add_argument("--config", required=True, help="key=value training config file")
+    p.add_argument("--config", required=True,
+                   help="key=value training config file; keys and defaults: "
+                        + ", ".join(f"{k}={v}" for k, v in TRAIN_CONFIG_DEFAULTS.items()))
     p.add_argument("--data", required=True,
                    help="dataset directory (or manifest.tsv path)")
     p.add_argument("--out", required=True, help="checkpoint path (BSEG)")

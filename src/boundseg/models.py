@@ -589,7 +589,7 @@ def load_model(path, dtype=np.float32) -> SegmentationModel:
         meta = json.loads(sidecar.read_text())
     except OSError as e:
         raise IoFailure(f"cannot read config sidecar {sidecar}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise IoFailure(f"malformed config sidecar {sidecar}: {e}") from e
     model = SegmentationModel(_config_from_dict(meta), seed=0, dtype=dtype)
     arrays = ckpt.load_checkpoint(path)

@@ -7,6 +7,7 @@ raw little-endian float32 data.  Round-trips are bit-exact.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -64,11 +65,14 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         pos += 4
         if pos + nlen + 16 > len(blob):
             raise TruncatedData(f"{path}: truncated record for name length {nlen}")
-        name = blob[pos : pos + nlen].decode("utf-8")
+        try:
+            name = blob[pos : pos + nlen].decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise MalformedHeader(f"{path}: parameter name is not UTF-8: {e}") from e
         pos += nlen
         shape = struct.unpack("<4I", blob[pos : pos + 16])
         pos += 16
-        count = int(np.prod(shape))
+        count = math.prod(shape)  # Python ints: no int64 wrap-around
         if pos + 4 * count > len(blob):
             raise TruncatedData(f"{path}: truncated data for parameter {name!r}")
         data = np.frombuffer(blob[pos : pos + 4 * count], dtype="<f4").reshape(shape).copy()

@@ -5,6 +5,17 @@ Convolution is implemented as cross-correlation (no kernel flip); the
 transposed convolution is its exact adjoint, so for shared weights and
 zero bias  <conv2d(x), y> == <x, transposed_conv2d(y)>.
 
+Layout: every windowed op indexes kernel tap (i, j) through `_tap`, the
+strided slice of the padded input that the tap reads.  Two private
+kernels carry the four convolution functions.  `_gather` contracts a
+patch view with the weights: the forward of conv2d and the input
+gradient of transposed_conv2d_vjp.  `_scatter`, its adjoint, adds
+g · w tap by tap onto a zero grid and crops the padding: the input
+gradient of conv2d_vjp and the forward of transposed_conv2d.  The
+max-pool takes np.maximum over its tap slices, and its vjp walks the
+same taps in row-major order, routing gy to the first that holds the
+window max.
+
 Arithmetic runs in the dtype of the inputs: float32 for training,
 float64 when the gradient checker drives the ops.
 """
@@ -92,6 +103,13 @@ class DeconvSpec:
         return (self.in_channels, self.out_channels) + self.kernel
 
 
+def _tap(i: int, j: int, stride: int, oh: int, ow: int):
+    """Index of the strided (n, c, oh, ow) slice that kernel tap (i, j) reads."""
+    return (slice(None), slice(None),
+            slice(i, i + stride * (oh - 1) + 1, stride),
+            slice(j, j + stride * (ow - 1) + 1, stride))
+
+
 def _conv_patches(xp: np.ndarray, kernel, stride: int, dilation: int, oh: int, ow: int):
     """Strided view (n, c, oh, ow, kh, kw) of dilated sliding windows."""
     n, c = xp.shape[:2]
@@ -108,6 +126,28 @@ def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
 
 
+def _gather(patches: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Patch view (n, c, oh, ow, kh, kw) times w (k, c, kh, kw): (n, k, oh, ow)."""
+    y = np.tensordot(patches, w, axes=([1, 4, 5], [1, 2, 3]))  # (n, oh, ow, k)
+    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+
+
+def _scatter(g: np.ndarray, w: np.ndarray, stride: int, dilation: int, p: int,
+             hw: tuple[int, int], dtype) -> np.ndarray:
+    """Adjoint of _gather: g (n, k, gh, gw) times w (k, c, kh, kw), added tap by
+    tap onto a zero (n, c) grid of size hw padded by p, then cropped to hw."""
+    n, _, gh, gw = g.shape
+    _, c, kh, kw = w.shape
+    h, wd = hw
+    prod = np.tensordot(g, w, axes=([1], [0]))  # (n, gh, gw, c, kh, kw)
+    prod = np.moveaxis(prod, 3, 1)  # (n, c, gh, gw, kh, kw)
+    full = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=dtype)
+    for i in range(kh):
+        for j in range(kw):
+            full[_tap(i * dilation, j * dilation, stride, gh, gw)] += prod[:, :, :, :, i, j]
+    return full[:, :, p : p + h, p : p + wd] if p else full
+
+
 def conv2d(x: np.ndarray, spec: ConvSpec, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cross-correlation with dilation; weights (out_c, in_c, kh, kw)."""
     _check_4d(x, "conv2d input")
@@ -119,9 +159,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec, w: np.ndarray, b: np.ndarray) -> np.nd
         raise ShapeMismatch(f"conv2d bias {b.shape} != ({spec.out_channels},)")
     oh, ow = spec.out_hw(x.shape[2], x.shape[3])
     xp = _pad_hw(x, spec.padding)
-    patches = _conv_patches(xp, spec.kernel, spec.stride, spec.dilation, oh, ow)
-    y = np.tensordot(patches, w, axes=([1, 4, 5], [1, 2, 3]))  # (n, oh, ow, out_c)
-    y = np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+    y = _gather(_conv_patches(xp, spec.kernel, spec.stride, spec.dilation, oh, ow), w)
     y += b.reshape(1, -1, 1, 1)
     return y
 
@@ -132,23 +170,11 @@ def conv2d_vjp(x: np.ndarray, spec: ConvSpec, w: np.ndarray, gy: np.ndarray):
     oh, ow = spec.out_hw(x.shape[2], x.shape[3])
     if gy.shape != (x.shape[0], spec.out_channels, oh, ow):
         raise ShapeMismatch(f"conv2d gy {gy.shape} != {(x.shape[0], spec.out_channels, oh, ow)}")
-    kh, kw = spec.kernel
     s, p, d = spec.stride, spec.padding, spec.dilation
-    xp = _pad_hw(x, p)
-    patches = _conv_patches(xp, spec.kernel, s, d, oh, ow)
-
+    patches = _conv_patches(_pad_hw(x, p), spec.kernel, s, d, oh, ow)
     gw = np.tensordot(gy, patches, axes=([0, 2, 3], [0, 2, 3]))  # (out_c, in_c, kh, kw)
     gb = gy.sum(axis=(0, 2, 3))
-
-    # Scatter gy*w back onto the (padded) input, one kernel tap at a time.
-    taps = np.tensordot(gy, w, axes=([1], [0]))  # (n, oh, ow, in_c, kh, kw)
-    taps = np.moveaxis(taps, 3, 1)  # (n, in_c, oh, ow, kh, kw)
-    gxp = np.zeros_like(xp)
-    for i in range(kh):
-        for j in range(kw):
-            gxp[:, :, i * d : i * d + s * (oh - 1) + 1 : s,
-                j * d : j * d + s * (ow - 1) + 1 : s] += taps[:, :, :, :, i, j]
-    gx = gxp[:, :, p : p + x.shape[2], p : p + x.shape[3]] if p else gxp
+    gx = _scatter(gy, w, s, d, p, x.shape[2:], x.dtype)
     return gx, gw, gb
 
 
@@ -162,21 +188,9 @@ def transposed_conv2d(x: np.ndarray, spec: DeconvSpec, w: np.ndarray, b: np.ndar
             f"transposed_conv2d input has {x.shape[1]} channels, spec wants {spec.in_channels}")
     if b.shape != (spec.out_channels,):
         raise ShapeMismatch(f"transposed_conv2d bias {b.shape} != ({spec.out_channels},)")
-    n, _, ih, iw = x.shape
-    kh, kw = spec.kernel
-    s, p = spec.stride, spec.padding
-    oh, ow = spec.out_hw(ih, iw)
-
-    taps = np.tensordot(x, w, axes=([1], [0]))  # (n, ih, iw, out_c, kh, kw)
-    taps = np.moveaxis(taps, 3, 1)  # (n, out_c, ih, iw, kh, kw)
-    full = np.zeros((n, spec.out_channels, oh + 2 * p, ow + 2 * p), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            full[:, :, i : i + s * (ih - 1) + 1 : s,
-                 j : j + s * (iw - 1) + 1 : s] += taps[:, :, :, :, i, j]
-    y = full[:, :, p : p + oh, p : p + ow] if p else full
-    y = y + b.reshape(1, -1, 1, 1)
-    return y
+    oh, ow = spec.out_hw(x.shape[2], x.shape[3])
+    y = _scatter(x, w, spec.stride, 1, spec.padding, (oh, ow), x.dtype)
+    return y + b.reshape(1, -1, 1, 1)
 
 
 def transposed_conv2d_vjp(x: np.ndarray, spec: DeconvSpec, w: np.ndarray, gy: np.ndarray):
@@ -186,12 +200,9 @@ def transposed_conv2d_vjp(x: np.ndarray, spec: DeconvSpec, w: np.ndarray, gy: np
     oh, ow = spec.out_hw(ih, iw)
     if gy.shape != (n, spec.out_channels, oh, ow):
         raise ShapeMismatch(f"transposed_conv2d gy {gy.shape} != {(n, spec.out_channels, oh, ow)}")
-    s, p = spec.stride, spec.padding
-    gfull = _pad_hw(gy, p)
-    # gfull windows seen from each input position: (n, out_c, ih, iw, kh, kw)
-    windows = _conv_patches(gfull, spec.kernel, s, 1, ih, iw)
-    gx = np.tensordot(windows, w, axes=([1, 4, 5], [1, 2, 3]))  # (n, ih, iw, in_c)
-    gx = np.ascontiguousarray(gx.transpose(0, 3, 1, 2))
+    # padded gy windows seen from each input position: (n, out_c, ih, iw, kh, kw)
+    windows = _conv_patches(_pad_hw(gy, spec.padding), spec.kernel, spec.stride, 1, ih, iw)
+    gx = _gather(windows, w)
     gw = np.tensordot(x, windows, axes=([0, 2, 3], [0, 2, 3]))  # (in_c, out_c, kh, kw)
     gb = gy.sum(axis=(0, 2, 3))
     return gx, gw, gb
@@ -222,54 +233,39 @@ def _pool_geometry(h: int, w: int, window: int, stride: int, ceil_mode: bool):
     return oh, ow, pad_h, pad_w
 
 
-def maxpool2d(x: np.ndarray, window: int, stride: int, ceil_mode: bool = False) -> np.ndarray:
-    """Per-window maxima.  ceil_mode lets a trailing partial window count."""
+def _pool(x: np.ndarray, window: int, stride: int, ceil_mode: bool):
+    """(-inf padded input, its taps in row-major order, window maxima)."""
     _check_4d(x, "maxpool2d input")
-    n, c, h, w = x.shape
-    oh, ow, pad_h, pad_w = _pool_geometry(h, w, window, stride, ceil_mode)
+    oh, ow, pad_h, pad_w = _pool_geometry(x.shape[2], x.shape[3], window, stride, ceil_mode)
     xp = x
     if pad_h or pad_w:
         xp = np.pad(x, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), constant_values=-np.inf)
-    patches = _conv_patches(xp, (window, window), stride, 1, oh, ow)
-    return patches.max(axis=(4, 5))
+    taps = [_tap(i, j, stride, oh, ow) for i in range(window) for j in range(window)]
+    y = xp[taps[0]].copy()
+    for t in taps[1:]:
+        np.maximum(y, xp[t], out=y)
+    return xp, taps, y
+
+
+def maxpool2d(x: np.ndarray, window: int, stride: int, ceil_mode: bool = False) -> np.ndarray:
+    """Per-window maxima.  ceil_mode lets a trailing partial window count."""
+    return _pool(x, window, stride, ceil_mode)[2]
 
 
 def maxpool2d_vjp(x: np.ndarray, window: int, stride: int, gy: np.ndarray,
                   ceil_mode: bool = False) -> np.ndarray:
     """Route gy to the argmax of each window (first in row-major order on ties)."""
-    n, c, h, w = x.shape
-    oh, ow, pad_h, pad_w = _pool_geometry(h, w, window, stride, ceil_mode)
-    if gy.shape != (n, c, oh, ow):
-        raise ShapeMismatch(f"maxpool2d gy {gy.shape} != {(n, c, oh, ow)}")
-    xp = x
-    if pad_h or pad_w:
-        xp = np.pad(x, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), constant_values=-np.inf)
-    hp, wp = xp.shape[2], xp.shape[3]
-    patches = _conv_patches(xp, (window, window), stride, 1, oh, ow)
-    flat = patches.reshape(n, c, oh, ow, window * window)
-    idx = flat.argmax(axis=4)  # first occurrence wins ties
-
-    if stride == window:
-        # windows are disjoint: scatter with put_along_axis on a zero buffer
-        gflat = np.zeros_like(flat)
-        np.put_along_axis(gflat, idx[..., None], gy[..., None], axis=4)
-        gp = gflat.reshape(n, c, oh, ow, window, window)
-        gxp = np.zeros_like(xp)
-        gview = _conv_patches(gxp, (window, window), stride, 1, oh, ow)
-        gview[...] = gp  # disjoint windows, plain assignment is safe
-    else:
-        gxp = np.zeros_like(xp)
-        di, dj = np.divmod(idx, window)
-        base_i = (np.arange(oh) * stride)[None, None, :, None]
-        base_j = (np.arange(ow) * stride)[None, None, None, :]
-        abs_i = base_i + di
-        abs_j = base_j + dj
-        nn, cc = np.meshgrid(np.arange(n), np.arange(c), indexing="ij")
-        nn = nn[:, :, None, None]
-        cc = cc[:, :, None, None]
-        np.add.at(gxp, (np.broadcast_to(nn, abs_i.shape),
-                        np.broadcast_to(cc, abs_i.shape), abs_i, abs_j), gy)
-    return gxp[:, :, :h, :w] if (pad_h or pad_w) else gxp
+    xp, taps, y = _pool(x, window, stride, ceil_mode)
+    if gy.shape != y.shape:
+        raise ShapeMismatch(f"maxpool2d gy {gy.shape} != {y.shape}")
+    gxp = np.zeros_like(xp)
+    todo = np.ones(y.shape, dtype=bool)  # windows whose gy is not yet routed
+    for t in taps:
+        hit = xp[t] == y
+        hit &= todo
+        todo ^= hit
+        gxp[t] += gy * hit
+    return gxp[:, :, : x.shape[2], : x.shape[3]]
 
 
 def l2_loss(pred: np.ndarray, target: np.ndarray) -> float:

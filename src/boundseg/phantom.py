@@ -338,4 +338,6 @@ def read_manifest(path) -> list[SampleRecord]:
                     dmap=base / dmap, split=split))
     except OSError as e:
         raise IoFailure(f"cannot read manifest {path}: {e}") from e
+    except UnicodeDecodeError as e:
+        raise IoFailure(f"manifest {path} is not UTF-8 text: {e}") from e
     return records

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,27 @@ def test_truncated_record(tmp_path):
     save_checkpoint(p, [("w", np.ones((3, 3), dtype=np.float32))])
     blob = p.read_bytes()
     p.write_bytes(blob[:-8])
+    with pytest.raises(TruncatedData):
+        load_checkpoint(p)
+
+
+def _one_record_header(name: bytes, shape) -> bytes:
+    """Magic, version 1, and one record header; no parameter data."""
+    return (b"BSEG" + struct.pack("<I", 1) + struct.pack("<I", len(name)) + name
+            + struct.pack("<4I", *shape))
+
+
+def test_non_utf8_name_is_malformed_header(tmp_path):
+    p = tmp_path / "x.bseg"
+    p.write_bytes(_one_record_header(b"\xff\xfe", (1, 1, 1, 1)) + bytes(4))
+    with pytest.raises(MalformedHeader):
+        load_checkpoint(p)
+
+
+def test_shape_product_past_int64_is_truncated_data(tmp_path):
+    # 65536**4 == 2**64 wraps to 0 in int64 arithmetic
+    p = tmp_path / "x.bseg"
+    p.write_bytes(_one_record_header(b"w", (65536,) * 4))
     with pytest.raises(TruncatedData):
         load_checkpoint(p)
 

@@ -13,6 +13,7 @@ from boundseg.cli import (
     EXIT_DATA,
     EXIT_OK,
     EXIT_USAGE,
+    TRAIN_CONFIG_DEFAULTS,
     build_parser,
     main,
     read_train_config,
@@ -81,6 +82,14 @@ def test_help_exits_zero_and_documents_subcommands():
     assert res.returncode == 0
     for name in ("gen", "distmap", "train", "segment", "eval", "--threads"):
         assert name in res.stdout
+
+
+def test_train_help_lists_every_config_key_and_default():
+    res = run_cli("train", "--help")
+    assert res.returncode == 0
+    text = " ".join(res.stdout.split())
+    for key, default in TRAIN_CONFIG_DEFAULTS.items():
+        assert f"{key}={default}" in text
 
 
 def test_unknown_flag_exits_nonzero():
@@ -199,6 +208,31 @@ def test_train_deterministic_across_runs(tmp_path, dataset):
                      "--out", str(ck)]) == EXIT_OK
         outs.append(ck.read_bytes() + ck.with_suffix(".log.tsv").read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("bad", ["config", "manifest", "eval_manifest", "sidecar"])
+def test_non_utf8_text_input_is_data_error(bad, dataset, checkpoint, tmp_path):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_CONFIG)
+    manifest = tmp_path / "manifest.tsv"
+    shutil.copyfile(dataset / "manifest.tsv", manifest)
+    ck = tmp_path / "model.bseg"
+    shutil.copyfile(checkpoint, ck)
+    shutil.copyfile(checkpoint.with_suffix(".json"), ck.with_suffix(".json"))
+    target = {"config": cfg, "sidecar": ck.with_suffix(".json")}.get(bad, manifest)
+    target.write_bytes(target.read_bytes() + b"# \xff\n")
+    if bad == "eval_manifest":
+        res = run_cli("eval", "--pred", dataset / "masks", "--gt", manifest,
+                      "--report", tmp_path / "r.tsv")
+    elif bad == "sidecar":
+        res = run_cli("segment", "--ckpt", ck, "--image", dataset / "images" / "test_0000.pgm",
+                      "--out", tmp_path / "o.pgm")
+    else:
+        res = run_cli("train", "--config", cfg, "--data", manifest,
+                      "--out", tmp_path / "m.bseg")
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert "utf-8" in res.stderr.lower()
 
 
 def test_train_missing_manifest_is_data_error(tmp_path):

@@ -1,6 +1,8 @@
 """Forward ops against naive loop oracles; backward passes against the
 finite-difference checker (float64 throughout)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,7 +71,6 @@ def naive_transposed_conv2d(x, spec, w, b):
 
 
 def naive_maxpool2d(x, window, stride, ceil_mode=False):
-    import math
     n, c, h, w = x.shape
     if ceil_mode:
         oh = math.ceil((h - window) / stride) + 1
@@ -83,6 +84,20 @@ def naive_maxpool2d(x, window, stride, ceil_mode=False):
             part = x[:, :, i * stride : i * stride + window, j * stride : j * stride + window]
             y[:, :, i, j] = part.max(axis=(2, 3)) if part.size else -np.inf
     return y
+
+
+def naive_maxpool2d_vjp(x, window, stride, gy):
+    """Add each gy to the first row-major argmax of its window."""
+    n, c, h, w = x.shape
+    gx = np.zeros_like(x)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(gy.shape[2]):
+                for j in range(gy.shape[3]):
+                    part = x[b, ch, i * stride : i * stride + window, j * stride : j * stride + window]
+                    u, v = np.unravel_index(np.argmax(part), part.shape)
+                    gx[b, ch, i * stride + u, j * stride + v] += gy[b, ch, i, j]
+    return gx
 
 
 CONV_CASES = [
@@ -228,6 +243,24 @@ def test_maxpool2d_gradients(window, stride, ceil_mode, hw):
 
     rep = grad_check(fwd, vjp, {"x": x}, tolerance=1e-6)
     assert rep.ok, rep.per_input
+
+
+@pytest.mark.parametrize("window,stride,ceil_mode,hw", POOL_CASES)
+def test_maxpool2d_vjp_matches_naive_on_ties(window, stride, ceil_mode, hw):
+    # rounded, then a ReLU: 69% of the inputs are 0 and 24% are 1, so
+    # most windows hold their maximum more than once
+    x = np.maximum(np.round(rng.standard_normal((2, 3) + hw)), 0)
+    gy = rng.standard_normal((2, 3) + naive_maxpool2d(x, window, stride, ceil_mode).shape[2:])
+    got = maxpool2d_vjp(x, window, stride, gy, ceil_mode)
+    want = naive_maxpool2d_vjp(x, window, stride, gy)
+    if window == stride:
+        np.testing.assert_array_equal(got, want)
+    else:
+        # overlapping windows: a pixel sums at most m gy values, and only
+        # the order of that sum may differ from the oracle's
+        m = math.ceil(window / stride) ** 2
+        tol = m * m * np.finfo(np.float64).eps * np.abs(gy).max()
+        np.testing.assert_allclose(got, want, rtol=0, atol=tol)
 
 
 def test_maxpool_tie_routes_to_first():
