@@ -328,21 +328,3 @@ def brn_segment(dmap: np.ndarray, tau: float = DEFAULT_TAU,
         graph = build_graph(skel, FALLBACK_LINK_RADIUS)
     path = mst_max_path(graph)
     return close_and_fill(path, dmap.shape)
-
-
-def write_contour(path, vertices: list[tuple[int, int]]) -> None:
-    """Plain-text contour export: one "y x" pair per line, closure implied."""
-    with open(path, "w") as f:
-        for y, x in vertices:
-            f.write(f"{y} {x}\n")
-
-
-def read_contour(path) -> list[tuple[int, int]]:
-    out = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                y, x = line.split()
-                out.append((int(y), int(x)))
-    return out

@@ -265,20 +265,25 @@ def read_report(path) -> EvalReport:
             body = f.readlines()
     except OSError as e:
         raise IoFailure(f"cannot read report {path}: {e}") from e
-    for line in body:
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        if line.startswith("#"):
-            parts = line[1:].strip().split("\t")
-            if parts[0] == "pvalue" and len(parts) == 3:
-                if p_values is None:
-                    p_values = {}
-                p_values[parts[1]] = None if parts[2] == "na" else float(parts[2])
-            continue
-        parts = line.split("\t")
-        if len(parts) != 4:
-            raise IoFailure(f"report row has {len(parts)} fields: {line!r}")
-        rows.append(SampleMetrics(parts[0], float(parts[1]),
-                                  float(parts[2]), float(parts[3])))
+    except UnicodeDecodeError as e:
+        raise IoFailure(f"report {path} is not UTF-8 text: {e}") from e
+    try:
+        for line in body:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            if line.startswith("#"):
+                parts = line[1:].strip().split("\t")
+                if parts[0] == "pvalue" and len(parts) == 3:
+                    if p_values is None:
+                        p_values = {}
+                    p_values[parts[1]] = None if parts[2] == "na" else float(parts[2])
+                continue
+            parts = line.split("\t")
+            if len(parts) != 4:
+                raise IoFailure(f"report row has {len(parts)} fields: {line!r}")
+            rows.append(SampleMetrics(parts[0], float(parts[1]),
+                                      float(parts[2]), float(parts[3])))
+    except ValueError as e:
+        raise IoFailure(f"malformed report {path}: {e}") from e
     return EvalReport(rows=rows, p_values=p_values)

@@ -293,9 +293,6 @@ class SegmentationModel:
     def named_params(self) -> list[tuple[str, Param]]:
         return self.encoder.params() + self.head.params() + self.classifier.params()
 
-    def regression_params(self) -> list[tuple[str, Param]]:
-        return self.encoder.params() + self.head.params()
-
     def zero_grads(self) -> None:
         for _, p in self.named_params():
             p.grad = np.zeros_like(p.data)
@@ -497,6 +494,8 @@ def read_training_log(path) -> list[EpochRecord]:
                                        parse(ce), parse(vd)))
     except OSError as e:
         raise IoFailure(f"cannot read training log {path}: {e}") from e
+    except ValueError as e:  # also UnicodeDecodeError
+        raise IoFailure(f"malformed training log {path}: {e}") from e
     return out
 
 

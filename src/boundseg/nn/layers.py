@@ -134,13 +134,16 @@ class MaxPool2d(Layer):
         self.stride = stride
         self.ceil_mode = ceil_mode
         self._x: np.ndarray | None = None
+        self._y: np.ndarray | None = None
 
     def forward(self, x):
         self._x = x
-        return ops.maxpool2d(x, self.window, self.stride, self.ceil_mode)
+        self._y = ops.maxpool2d(x, self.window, self.stride, self.ceil_mode)
+        return self._y
 
     def backward(self, gy):
-        return ops.maxpool2d_vjp(self._x, self.window, self.stride, gy, self.ceil_mode)
+        return ops.maxpool2d_vjp(self._x, self.window, self.stride, gy, self.ceil_mode,
+                                 y=self._y)
 
 
 class Sequential(Layer):

@@ -6,15 +6,19 @@ transposed convolution is its exact adjoint, so for shared weights and
 zero bias  <conv2d(x), y> == <x, transposed_conv2d(y)>.
 
 Layout: every windowed op indexes kernel tap (i, j) through `_tap`, the
-strided slice of the padded input that the tap reads.  Two private
-kernels carry the four convolution functions.  `_gather` contracts a
-patch view with the weights: the forward of conv2d and the input
-gradient of transposed_conv2d_vjp.  `_scatter`, its adjoint, adds
-g · w tap by tap onto a zero grid and crops the padding: the input
-gradient of conv2d_vjp and the forward of transposed_conv2d.  The
-max-pool takes np.maximum over its tap slices, and its vjp walks the
-same taps in row-major order, routing gy to the first that holds the
-window max.
+strided slice of the padded input that the tap reads.  Convolutions run
+on pixel-major columns: `_columns` copies each tap slice once into a
+(c, kh·kw, n, oh, ow) buffer, so every row of the lowered
+(c·kh·kw, n·oh·ow) matrix is a contiguous run of output pixels, and each
+conv function is one channels-first GEMM over it.  `_gather`
+(weights @ columns) is the forward of conv2d and the input gradient of
+transposed_conv2d_vjp; both weight gradients are g @ columns.T.
+`_scatter`, the adjoint of `_gather`, computes weights.T @ g as
+(c, kh·kw, n, gh, gw), adds it tap by tap onto a zero grid and crops the
+padding: the input gradient of conv2d_vjp and the forward of
+transposed_conv2d.  The max-pool takes np.maximum over its tap slices,
+and its vjp walks the same taps in row-major order, routing gy to the
+first that holds the window max.
 
 Arithmetic runs in the dtype of the inputs: float32 for training,
 float64 when the gradient checker drives the ops.
@@ -26,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..errors import LabelOutOfRange, ShapeMismatch
 
@@ -110,41 +113,51 @@ def _tap(i: int, j: int, stride: int, oh: int, ow: int):
             slice(j, j + stride * (ow - 1) + 1, stride))
 
 
-def _conv_patches(xp: np.ndarray, kernel, stride: int, dilation: int, oh: int, ow: int):
-    """Strided view (n, c, oh, ow, kh, kw) of dilated sliding windows."""
-    n, c = xp.shape[:2]
-    kh, kw = kernel
-    s0, s1, s2, s3 = xp.strides
-    shape = (n, c, oh, ow, kh, kw)
-    strides = (s0, s1, s2 * stride, s3 * stride, s2 * dilation, s3 * dilation)
-    return as_strided(xp, shape=shape, strides=strides)
-
-
 def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     if p == 0:
         return x
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
 
 
-def _gather(patches: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Patch view (n, c, oh, ow, kh, kw) times w (k, c, kh, kw): (n, k, oh, ow)."""
-    y = np.tensordot(patches, w, axes=([1, 4, 5], [1, 2, 3]))  # (n, oh, ow, k)
-    return np.ascontiguousarray(y.transpose(0, 3, 1, 2))
+def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, oh: int, ow: int):
+    """Pixel-major im2col of xp: (c·kh·kw, n·oh·ow), rows in (c, i, j) order."""
+    n, c = xp.shape[:2]
+    kh, kw = kernel
+    cols = np.empty((c, kh * kw, n, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            tap = xp[_tap(i * dilation, j * dilation, stride, oh, ow)]
+            cols[:, i * kw + j] = tap.transpose(1, 0, 2, 3)
+    return cols.reshape(c * kh * kw, n * oh * ow)
+
+
+def _channels_first(a: np.ndarray) -> np.ndarray:
+    """(n, c, h, w) -> (c, n·h·w)."""
+    n, c, h, w = a.shape
+    return a.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+
+
+def _gather(cols: np.ndarray, w: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
+    """w (k, c, kh, kw) times the columns of an (n, c) input: (n, k, oh, ow)."""
+    k = w.shape[0]
+    y = (w.reshape(k, -1) @ cols).reshape(k, n, oh, ow)
+    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
 
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, dilation: int, p: int,
              hw: tuple[int, int], dtype) -> np.ndarray:
-    """Adjoint of _gather: g (n, k, gh, gw) times w (k, c, kh, kw), added tap by
-    tap onto a zero (n, c) grid of size hw padded by p, then cropped to hw."""
-    n, _, gh, gw = g.shape
+    """Adjoint of _gather: w (k, c, kh, kw) transposed times g (n, k, gh, gw),
+    added tap by tap onto a zero (n, c) grid of size hw padded by p, then
+    cropped to hw."""
+    n, k, gh, gw = g.shape
     _, c, kh, kw = w.shape
     h, wd = hw
-    prod = np.tensordot(g, w, axes=([1], [0]))  # (n, gh, gw, c, kh, kw)
-    prod = np.moveaxis(prod, 3, 1)  # (n, c, gh, gw, kh, kw)
+    prod = (w.reshape(k, -1).T @ _channels_first(g)).reshape(c, kh * kw, n, gh, gw)
     full = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=dtype)
     for i in range(kh):
         for j in range(kw):
-            full[_tap(i * dilation, j * dilation, stride, gh, gw)] += prod[:, :, :, :, i, j]
+            full[_tap(i * dilation, j * dilation, stride, gh, gw)] += (
+                prod[:, i * kw + j].transpose(1, 0, 2, 3))
     return full[:, :, p : p + h, p : p + wd] if p else full
 
 
@@ -158,8 +171,8 @@ def conv2d(x: np.ndarray, spec: ConvSpec, w: np.ndarray, b: np.ndarray) -> np.nd
     if b.shape != (spec.out_channels,):
         raise ShapeMismatch(f"conv2d bias {b.shape} != ({spec.out_channels},)")
     oh, ow = spec.out_hw(x.shape[2], x.shape[3])
-    xp = _pad_hw(x, spec.padding)
-    y = _gather(_conv_patches(xp, spec.kernel, spec.stride, spec.dilation, oh, ow), w)
+    cols = _columns(_pad_hw(x, spec.padding), spec.kernel, spec.stride, spec.dilation, oh, ow)
+    y = _gather(cols, w, x.shape[0], oh, ow)
     y += b.reshape(1, -1, 1, 1)
     return y
 
@@ -171,8 +184,9 @@ def conv2d_vjp(x: np.ndarray, spec: ConvSpec, w: np.ndarray, gy: np.ndarray):
     if gy.shape != (x.shape[0], spec.out_channels, oh, ow):
         raise ShapeMismatch(f"conv2d gy {gy.shape} != {(x.shape[0], spec.out_channels, oh, ow)}")
     s, p, d = spec.stride, spec.padding, spec.dilation
-    patches = _conv_patches(_pad_hw(x, p), spec.kernel, s, d, oh, ow)
-    gw = np.tensordot(gy, patches, axes=([0, 2, 3], [0, 2, 3]))  # (out_c, in_c, kh, kw)
+    cols = _columns(_pad_hw(x, p), spec.kernel, s, d, oh, ow)
+    gw = (_channels_first(gy) @ cols.T).reshape(w.shape)
+    del cols  # the scatter's product is as large
     gb = gy.sum(axis=(0, 2, 3))
     gx = _scatter(gy, w, s, d, p, x.shape[2:], x.dtype)
     return gx, gw, gb
@@ -200,10 +214,10 @@ def transposed_conv2d_vjp(x: np.ndarray, spec: DeconvSpec, w: np.ndarray, gy: np
     oh, ow = spec.out_hw(ih, iw)
     if gy.shape != (n, spec.out_channels, oh, ow):
         raise ShapeMismatch(f"transposed_conv2d gy {gy.shape} != {(n, spec.out_channels, oh, ow)}")
-    # padded gy windows seen from each input position: (n, out_c, ih, iw, kh, kw)
-    windows = _conv_patches(_pad_hw(gy, spec.padding), spec.kernel, spec.stride, 1, ih, iw)
-    gx = _gather(windows, w)
-    gw = np.tensordot(x, windows, axes=([0, 2, 3], [0, 2, 3]))  # (in_c, out_c, kh, kw)
+    # padded gy windows seen from each input position
+    cols = _columns(_pad_hw(gy, spec.padding), spec.kernel, spec.stride, 1, ih, iw)
+    gx = _gather(cols, w, n, ih, iw)
+    gw = (_channels_first(x) @ cols.T).reshape(w.shape)
     gb = gy.sum(axis=(0, 2, 3))
     return gx, gw, gb
 
@@ -233,33 +247,44 @@ def _pool_geometry(h: int, w: int, window: int, stride: int, ceil_mode: bool):
     return oh, ow, pad_h, pad_w
 
 
-def _pool(x: np.ndarray, window: int, stride: int, ceil_mode: bool):
-    """(-inf padded input, its taps in row-major order, window maxima)."""
+def _pool_taps(x: np.ndarray, window: int, stride: int, ceil_mode: bool):
+    """(-inf padded input, its taps in row-major order, output shape)."""
     _check_4d(x, "maxpool2d input")
     oh, ow, pad_h, pad_w = _pool_geometry(x.shape[2], x.shape[3], window, stride, ceil_mode)
     xp = x
     if pad_h or pad_w:
         xp = np.pad(x, ((0, 0), (0, 0), (0, pad_h), (0, pad_w)), constant_values=-np.inf)
     taps = [_tap(i, j, stride, oh, ow) for i in range(window) for j in range(window)]
+    return xp, taps, x.shape[:2] + (oh, ow)
+
+
+def _pool_max(xp: np.ndarray, taps) -> np.ndarray:
     y = xp[taps[0]].copy()
     for t in taps[1:]:
         np.maximum(y, xp[t], out=y)
-    return xp, taps, y
+    return y
 
 
 def maxpool2d(x: np.ndarray, window: int, stride: int, ceil_mode: bool = False) -> np.ndarray:
     """Per-window maxima.  ceil_mode lets a trailing partial window count."""
-    return _pool(x, window, stride, ceil_mode)[2]
+    xp, taps, _ = _pool_taps(x, window, stride, ceil_mode)
+    return _pool_max(xp, taps)
 
 
 def maxpool2d_vjp(x: np.ndarray, window: int, stride: int, gy: np.ndarray,
-                  ceil_mode: bool = False) -> np.ndarray:
-    """Route gy to the argmax of each window (first in row-major order on ties)."""
-    xp, taps, y = _pool(x, window, stride, ceil_mode)
-    if gy.shape != y.shape:
-        raise ShapeMismatch(f"maxpool2d gy {gy.shape} != {y.shape}")
+                  ceil_mode: bool = False, y: np.ndarray | None = None) -> np.ndarray:
+    """Route gy to the argmax of each window (first in row-major order on ties).
+
+    y is maxpool2d(x, ...) when the caller kept it; None recomputes it."""
+    xp, taps, out_shape = _pool_taps(x, window, stride, ceil_mode)
+    if gy.shape != out_shape:
+        raise ShapeMismatch(f"maxpool2d gy {gy.shape} != {out_shape}")
+    if y is None:
+        y = _pool_max(xp, taps)
+    elif y.shape != out_shape:
+        raise ShapeMismatch(f"maxpool2d y {y.shape} != {out_shape}")
     gxp = np.zeros_like(xp)
-    todo = np.ones(y.shape, dtype=bool)  # windows whose gy is not yet routed
+    todo = np.ones(out_shape, dtype=bool)  # windows whose gy is not yet routed
     for t in taps:
         hit = xp[t] == y
         hit &= todo

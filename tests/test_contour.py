@@ -507,13 +507,3 @@ def test_brn_deterministic():
     a = brn_segment(dm)
     b = brn_segment(dm)
     assert np.array_equal(a, b)
-
-
-# --- contour file format ---
-
-def test_contour_file_roundtrip(tmp_path):
-    pts = [(0, 1), (2, 3), (10, 7)]
-    p = tmp_path / "c.txt"
-    contour.write_contour(p, pts)
-    assert contour.read_contour(p) == pts
-    assert p.read_text() == "0 1\n2 3\n10 7\n"

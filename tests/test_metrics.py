@@ -376,3 +376,13 @@ def test_read_report_rejects_malformed(tmp_path):
     bad.write_text("s0\t0.5\t1.0\n")  # three fields, not four
     with pytest.raises(IoFailure):
         read_report(bad)
+
+
+@pytest.mark.parametrize("body", [b"# boundseg evaluation report\n# \xff\n",
+                                  b"s0\t0.5\tx\t1.0\n",
+                                  b"# pvalue\tdice\tx\n"])
+def test_read_report_rejects_undecodable_text(tmp_path, body):
+    bad = tmp_path / "r.tsv"
+    bad.write_bytes(body)
+    with pytest.raises(IoFailure):
+        read_report(bad)

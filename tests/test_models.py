@@ -7,6 +7,7 @@ import pytest
 from boundseg.errors import (
     DivergedTraining,
     InvalidParams,
+    IoFailure,
     ShapeMismatch,
 )
 from boundseg.models import (
@@ -297,6 +298,15 @@ def test_training_log_and_checkpoint_roundtrip(small_dataset, tmp_path):
     save_model(ck2, loaded)
     assert ck.read_bytes() == ck2.read_bytes()
     assert ck.with_suffix(".json").read_bytes() == ck2.with_suffix(".json").read_bytes()
+
+
+@pytest.mark.parametrize("tail", [b"# \xff\n", b"1\t0.5\t1.0\n", b"1\t0.5\tx\tna\tna\n"])
+def test_read_training_log_rejects_undecodable_text(tmp_path, tail):
+    lg = tmp_path / "log.tsv"
+    write_training_log(lg, [EpochRecord(0, 0.5, 1.0, 0.5, None)])
+    lg.write_bytes(lg.read_bytes() + tail)
+    with pytest.raises(IoFailure):
+        read_training_log(lg)
 
 
 def test_training_deterministic_in_seed(small_dataset):

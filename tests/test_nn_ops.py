@@ -175,6 +175,90 @@ def test_transposed_conv2d_gradients(spec):
     assert rep.ok, rep.per_input
 
 
+def naive_conv2d_vjp(x, spec, w, gy):
+    """Direct sums: each gy[b, o, y, x] times the inputs and weights it saw."""
+    n, c, h, wd = x.shape
+    kh, kw = spec.kernel
+    s, p, d = spec.stride, spec.padding, spec.dilation
+    gxp = np.zeros((n, c, h + 2 * p, wd + 2 * p))
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
+    gw = np.zeros_like(w)
+    for b, o, i, j in np.ndindex(*gy.shape):
+        for ic, u, v in np.ndindex(c, kh, kw):
+            gxp[b, ic, i * s + u * d, j * s + v * d] += gy[b, o, i, j] * w[o, ic, u, v]
+            gw[o, ic, u, v] += gy[b, o, i, j] * xp[b, ic, i * s + u * d, j * s + v * d]
+    return gxp[:, :, p : p + h, p : p + wd], gw, gy.sum(axis=(0, 2, 3))
+
+
+def naive_transposed_conv2d_vjp(x, spec, w, gy):
+    """Direct sums over the padded output grid each input pixel wrote to."""
+    n, c, ih, iw = x.shape
+    kh, kw = spec.kernel
+    s, p = spec.stride, spec.padding
+    gyp = np.pad(gy, ((0, 0), (0, 0), (p, p), (p, p)))  # cropped rows get no gradient
+    gx = np.zeros_like(x)
+    gw = np.zeros_like(w)
+    for b, ic, i, j in np.ndindex(*x.shape):
+        for o, u, v in np.ndindex(spec.out_channels, kh, kw):
+            gx[b, ic, i, j] += gyp[b, o, i * s + u, j * s + v] * w[ic, o, u, v]
+            gw[ic, o, u, v] += x[b, ic, i, j] * gyp[b, o, i * s + u, j * s + v]
+    return gx, gw, gy.sum(axis=(0, 2, 3))
+
+
+def _random_geometries(count, seed):
+    """(n, spec, h, w) draws: kernel 1-4 (often non-square), stride 1-2,
+    padding 0-2, dilation 1-3, batch 1-3; every third input is the
+    smallest the geometry allows, the rest add 0-5 rows and columns."""
+    g = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        kh, kw, n, c, k = (int(v) for v in g.integers(1, [5, 5, 4, 4, 4]))
+        s, p, d = (int(v) for v in g.integers([1, 0, 1], [3, 3, 4]))
+        if t % 2:
+            spec = ConvSpec(c, k, (kh, kw), stride=s, padding=p, dilation=d)
+            small = [max(1, d * (kk - 1) + 1 - 2 * p) for kk in (kh, kw)]
+        else:
+            spec = DeconvSpec(c, k, (kh, kw), stride=s, padding=p)
+            small = [1 + max(0, -(-(2 * p + 1 - kk) // s)) for kk in (kh, kw)]
+        h, w = small if t % 3 == 0 else (v + int(g.integers(0, 6)) for v in small)
+        out.append((n, spec, h, w))
+    return out
+
+
+GEOMETRIES = _random_geometries(60, 7) + [(2, ConvSpec(2, 3, (3, 2), stride=2, padding=1,
+                                                       dilation=2), 9, 8)]
+
+
+def test_random_geometries_cover_the_corners():
+    convs = [(n, s, h, w) for n, s, h, w in GEOMETRIES if isinstance(s, ConvSpec)]
+    assert any(s.stride == 2 and s.dilation == 2 for _, s, _, _ in convs)
+    assert any(s.out_hw(h, w)[0] == 1 for _, s, h, w in convs)
+    assert {s.dilation for _, s, _, _ in convs} == {1, 2, 3}
+    assert {s.padding for _, s, _, _ in GEOMETRIES} == {0, 1, 2}
+    assert {n for n, _, _, _ in GEOMETRIES} == {1, 2, 3}
+    assert any(s.kernel[0] != s.kernel[1] for _, s, _, _ in GEOMETRIES)
+    assert any(h % 2 and w % 2 for _, _, h, w in GEOMETRIES)
+
+
+@pytest.mark.parametrize("n,spec,h,w", GEOMETRIES)
+def test_conv_functions_match_loops_on_random_geometries(n, spec, h, w):
+    g = np.random.default_rng([n, h, w, *spec.kernel, spec.stride, spec.padding])
+    x = g.standard_normal((n, spec.in_channels, h, w))
+    wt = g.standard_normal(spec.weight_shape())
+    b = g.standard_normal(spec.out_channels)
+    gy = g.standard_normal((n, spec.out_channels) + spec.out_hw(h, w))
+    if isinstance(spec, ConvSpec):
+        pairs = [(conv2d(x, spec, wt, b), naive_conv2d(x, spec, wt, b)),
+                 *zip(conv2d_vjp(x, spec, wt, gy), naive_conv2d_vjp(x, spec, wt, gy))]
+    else:
+        pairs = [(transposed_conv2d(x, spec, wt, b), naive_transposed_conv2d(x, spec, wt, b)),
+                 *zip(transposed_conv2d_vjp(x, spec, wt, gy),
+                      naive_transposed_conv2d_vjp(x, spec, wt, gy))]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
 def test_conv_deconv_adjoint_identity():
     """<conv(x), y> == <x, deconv(y)> for shared weights, zero bias."""
     cspec = ConvSpec(3, 4, (3, 3), stride=2, padding=1)
@@ -253,6 +337,11 @@ def test_maxpool2d_vjp_matches_naive_on_ties(window, stride, ceil_mode, hw):
     gy = rng.standard_normal((2, 3) + naive_maxpool2d(x, window, stride, ceil_mode).shape[2:])
     got = maxpool2d_vjp(x, window, stride, gy, ceil_mode)
     want = naive_maxpool2d_vjp(x, window, stride, gy)
+    # the forward's maxima, when the caller kept them, route the same bytes
+    kept = maxpool2d_vjp(x, window, stride, gy, ceil_mode, y=maxpool2d(x, window, stride, ceil_mode))
+    assert kept.tobytes() == got.tobytes()
+    with pytest.raises(ShapeMismatch):
+        maxpool2d_vjp(x, window, stride, gy, ceil_mode, y=gy[:, :, :-1])
     if window == stride:
         np.testing.assert_array_equal(got, want)
     else:
