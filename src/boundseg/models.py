@@ -38,7 +38,7 @@ from .nn.layers import (
     sgd_step,
 )
 from .nn.ops import ConvSpec, DeconvSpec
-from .phantom import read_manifest
+from .phantom import check_seed, read_manifest
 
 DOWNSAMPLE_FACTOR = 8
 DECONV_KERNEL = 4  # k=4, s=2, p=1 doubles the spatial size exactly
@@ -261,6 +261,7 @@ class SegmentationModel:
     """Encoder, regression head, and classifier with shared backprop."""
 
     def __init__(self, config: PipelineConfig, seed: int = 0, dtype=np.float32):
+        check_seed(seed)
         self.config = config
         self.dtype = dtype
         rng = np.random.default_rng(seed)

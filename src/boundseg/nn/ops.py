@@ -10,7 +10,11 @@ strided slice of the padded input that the tap reads.  Convolutions run
 on pixel-major columns: `_columns` copies each tap slice once into a
 (c, kh·kw, n, oh, ow) buffer, so every row of the lowered
 (c·kh·kw, n·oh·ow) matrix is a contiguous run of output pixels, and each
-conv function is one channels-first GEMM over it.  `_gather`
+conv function is one channels-first GEMM over it.  Every matrix handed
+to BLAS comes from `_gemm_matrix`, whose rows are padded by 16 elements
+when their length is a multiple of 4 KiB: at such a stride (64² pixels
+times a batch, in float32) every row of a packed panel maps onto the same
+cache sets, and a 4×16×64² 3×3 conv forward ran 14× slower.  `_gather`
 (weights @ columns) is the forward of conv2d and the input gradient of
 transposed_conv2d_vjp; both weight gradients are g @ columns.T.
 `_scatter`, the adjoint of `_gather`, computes weights.T @ g as
@@ -119,29 +123,47 @@ def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
 
 
+def _leading_dim(n: int, dtype) -> int:
+    """Row length in elements of a BLAS operand with n columns: n, or n + 16
+    when n·itemsize is a multiple of 4 KiB."""
+    return n + 16 if n * np.dtype(dtype).itemsize % 4096 == 0 else n
+
+
+def _gemm_matrix(m: int, n: int, dtype) -> np.ndarray:
+    """Uninitialised (m, n) BLAS operand: a view of an (m, _leading_dim) buffer."""
+    return np.empty((m, _leading_dim(n, dtype)), dtype=dtype)[:, :n]
+
+
 def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, oh: int, ow: int):
     """Pixel-major im2col of xp: (c·kh·kw, n·oh·ow), rows in (c, i, j) order."""
     n, c = xp.shape[:2]
     kh, kw = kernel
-    cols = np.empty((c, kh * kw, n, oh, ow), dtype=xp.dtype)
+    cols = _gemm_matrix(c * kh * kw, n * oh * ow, xp.dtype)
+    taps = cols.reshape((c, kh * kw, n, oh, ow), copy=False)
     for i in range(kh):
         for j in range(kw):
             tap = xp[_tap(i * dilation, j * dilation, stride, oh, ow)]
-            cols[:, i * kw + j] = tap.transpose(1, 0, 2, 3)
-    return cols.reshape(c * kh * kw, n * oh * ow)
+            taps[:, i * kw + j] = tap.transpose(1, 0, 2, 3)
+    return cols
 
 
 def _channels_first(a: np.ndarray) -> np.ndarray:
-    """(n, c, h, w) -> (c, n·h·w)."""
+    """(n, c, h, w) -> (c, n·h·w); a free reshape when n == 1 and the rows
+    need no padding."""
     n, c, h, w = a.shape
-    return a.transpose(1, 0, 2, 3).reshape(c, n * h * w)
+    if n == 1 and _leading_dim(h * w, a.dtype) == h * w:
+        return a.reshape(c, h * w)
+    out = _gemm_matrix(c, n * h * w, a.dtype)
+    out.reshape((c, n, h, w), copy=False)[...] = a.transpose(1, 0, 2, 3)
+    return out
 
 
 def _gather(cols: np.ndarray, w: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
     """w (k, c, kh, kw) times the columns of an (n, c) input: (n, k, oh, ow)."""
     k = w.shape[0]
-    y = (w.reshape(k, -1) @ cols).reshape(k, n, oh, ow)
-    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+    y = np.matmul(w.reshape(k, -1), cols,
+                  out=_gemm_matrix(k, n * oh * ow, np.result_type(w, cols)))
+    return np.ascontiguousarray(y.reshape((k, n, oh, ow), copy=False).transpose(1, 0, 2, 3))
 
 
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, dilation: int, p: int,
@@ -152,7 +174,9 @@ def _scatter(g: np.ndarray, w: np.ndarray, stride: int, dilation: int, p: int,
     n, k, gh, gw = g.shape
     _, c, kh, kw = w.shape
     h, wd = hw
-    prod = (w.reshape(k, -1).T @ _channels_first(g)).reshape(c, kh * kw, n, gh, gw)
+    prod = np.matmul(w.reshape(k, -1).T, _channels_first(g),
+                     out=_gemm_matrix(c * kh * kw, n * gh * gw, np.result_type(w, g)))
+    prod = prod.reshape((c, kh * kw, n, gh, gw), copy=False)
     full = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=dtype)
     for i in range(kh):
         for j in range(kw):
@@ -227,8 +251,14 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_vjp(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
-    # subgradient at exactly 0 is 0
-    return np.where(x > 0, gy, 0)
+    """gy where x > 0, else 0 (the subgradient at exactly 0 is 0).
+
+    Computed as gy * (x > 0), several times faster than np.where; adding
+    0.0 turns the -0.0 of a negative gy times 0 into +0.0, so every zero of
+    the result is +0.0.  A non-finite gy where x <= 0 gives NaN, not 0."""
+    g = gy * (x > 0)
+    g += 0.0
+    return g
 
 
 def _pool_geometry(h: int, w: int, window: int, stride: int, ceil_mode: bool):

@@ -39,6 +39,12 @@ MIN_FIELD_SIGMA = 4.0   # smoothness floor for deformation fields
 MAX_DRAW_ATTEMPTS = 32
 
 
+def check_seed(seed: int) -> None:
+    """Seeds are integers >= 0, the values NumPy's generators accept."""
+    if seed < 0:
+        raise InvalidParams(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class PhantomParams:
     """Geometry and appearance of one phantom sample."""
@@ -70,6 +76,7 @@ class PhantomParams:
             cy, cx = self.center
             if not (0 <= cy < h and 0 <= cx < w):
                 raise InvalidParams(f"center {self.center} outside frame {h}x{w}")
+        check_seed(self.seed)
 
 
 def _render_bean(frame: tuple[int, int], center: tuple[float, float],
@@ -237,6 +244,7 @@ def generate_sample(frame: tuple[int, int], seed: int, index: int,
     Retries invalid geometry within the sample's own stream, so the result
     depends only on (frame, seed, index).
     """
+    check_seed(seed)
     merged = dict(DEFAULT_RANGES)
     if ranges:
         merged.update(ranges)
@@ -280,6 +288,7 @@ def make_dataset(out_dir, n_train: int, n_test: int, seed: int,
     """
     if n_train < 1 or n_test < 1:
         raise InvalidParams("need at least one sample per split")
+    check_seed(seed)
     out = Path(out_dir)
     try:
         for sub in ("images", "masks", "dmaps"):

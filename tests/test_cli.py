@@ -235,6 +235,20 @@ def test_non_utf8_text_input_is_data_error(bad, dataset, checkpoint, tmp_path):
     assert "utf-8" in res.stderr.lower()
 
 
+@pytest.mark.parametrize("command", ["gen", "train"])
+def test_negative_seed_is_data_error(command, dataset, tmp_path):
+    if command == "gen":
+        res = run_cli("gen", "--out", tmp_path / "d", "--n-train", "1", "--n-test", "1",
+                      "--seed", "-1")
+    else:
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text(TINY_CONFIG.replace("seed = 3", "seed = -2"))
+        res = run_cli("train", "--config", cfg, "--data", dataset, "--out", tmp_path / "m.bseg")
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert "seed must be >= 0" in res.stderr
+
+
 def test_train_missing_manifest_is_data_error(tmp_path):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(TINY_CONFIG)

@@ -130,6 +130,11 @@ def test_forward_rejects_wrong_size():
         model.forward(pseudo_color(np.zeros((1, 32, 32))))
 
 
+def test_negative_seed_is_invalid_params():
+    with pytest.raises(InvalidParams):
+        SegmentationModel(tiny_config(), seed=-1)
+
+
 def test_mirrored_classifier_shapes():
     cfg = PipelineConfig(
         input_size=(16, 16),

@@ -17,6 +17,7 @@ from boundseg.nn import (
     l2_loss_grad,
     maxpool2d,
     maxpool2d_vjp,
+    ops,
     relu,
     relu_vjp,
     softmax_ce_grad,
@@ -225,8 +226,19 @@ def _random_geometries(count, seed):
     return out
 
 
-GEOMETRIES = _random_geometries(60, 7) + [(2, ConvSpec(2, 3, (3, 2), stride=2, padding=1,
-                                                       dilation=2), 9, 8)]
+def _gemm_width(n, spec, h, w):
+    """Columns of the conv functions' GEMM matrices: n·oh·ow for a conv,
+    n·h·w (the input's pixels) for a deconv."""
+    return n * math.prod(spec.out_hw(h, w)) if isinstance(spec, ConvSpec) else n * h * w
+
+
+# the last two have 2·16² float64 columns, a 4 KiB row, so their GEMM
+# operands are padded views that _columns and _scatter write through
+GEOMETRIES = _random_geometries(60, 7) + [
+    (2, ConvSpec(2, 3, (3, 2), stride=2, padding=1, dilation=2), 9, 8),
+    (2, ConvSpec(2, 2, (3, 3), padding=1), 16, 16),
+    (2, DeconvSpec(2, 2, (4, 4), stride=2, padding=1), 16, 16),
+]
 
 
 def test_random_geometries_cover_the_corners():
@@ -238,6 +250,8 @@ def test_random_geometries_cover_the_corners():
     assert {n for n, _, _, _ in GEOMETRIES} == {1, 2, 3}
     assert any(s.kernel[0] != s.kernel[1] for _, s, _, _ in GEOMETRIES)
     assert any(h % 2 and w % 2 for _, _, h, w in GEOMETRIES)
+    padded = [s for n, s, h, w in GEOMETRIES if _gemm_width(n, s, h, w) * 8 % 4096 == 0]
+    assert {type(s) for s in padded} == {ConvSpec, DeconvSpec}
 
 
 @pytest.mark.parametrize("n,spec,h,w", GEOMETRIES)
@@ -257,6 +271,21 @@ def test_conv_functions_match_loops_on_random_geometries(n, spec, h, w):
     for got, want in pairs:
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_conv_operands_avoid_4k_row_strides():
+    """At a row stride that is a multiple of 4 KiB every row of a packed
+    GEMM panel maps onto the same cache sets; the desk shapes have one."""
+    x = np.zeros((4, 16, 64, 64), dtype=np.float32)
+    cols = ops._columns(ops._pad_hw(x, 1), (3, 3), 1, 1, 64, 64)
+    assert cols.shape == (144, 4 * 64 * 64)
+    assert cols.strides[0] % 4096 != 0
+    cf = ops._channels_first(x)
+    assert cf.shape == (16, 4 * 64 * 64)
+    assert cf.strides[0] % 4096 != 0
+    # a reference-size image needs no padding and keeps the free reshape
+    x = np.zeros((1, 4, 321, 321), dtype=np.float32)
+    assert np.shares_memory(ops._channels_first(x), x)
 
 
 def test_conv_deconv_adjoint_identity():
@@ -373,11 +402,16 @@ def test_maxpool_overlapping_windows_accumulate():
 
 
 def test_relu_and_gradient():
-    x = rng.standard_normal((2, 3, 4, 5))
-    assert (relu(x) == np.maximum(x, 0)).all()
-    gy = rng.standard_normal(x.shape)
-    gx = relu_vjp(x, gy)
-    np.testing.assert_array_equal(gx, np.where(x > 0, gy, 0))
+    for dtype in (np.float32, np.float64):
+        x = rng.standard_normal((2, 3, 4, 5)).astype(dtype)
+        x[:, :, 0] = 0.0  # exact zeros: the subgradient there is 0
+        assert (relu(x) == np.maximum(x, 0)).all()
+        gy = rng.standard_normal(x.shape).astype(dtype)
+        assert (gy < 0).any()
+        gx = relu_vjp(x, gy)
+        # same bytes, so a negative gy times 0 must not leave a -0.0
+        assert gx.dtype == dtype
+        assert gx.tobytes() == np.where(x > 0, gy, 0).tobytes()
     # subgradient at exactly zero is zero
     assert relu_vjp(np.zeros((1, 1, 1, 1)), np.ones((1, 1, 1, 1)))[0, 0, 0, 0] == 0.0
 

@@ -59,6 +59,16 @@ def test_params_reject_bad_ranges():
         PhantomParams(frame=(8, 64))
 
 
+def test_negative_seed_is_invalid_params(tmp_path):
+    with pytest.raises(InvalidParams):
+        PhantomParams(seed=-1)
+    with pytest.raises(InvalidParams):
+        generate_sample((64, 64), -1, 0)
+    with pytest.raises(InvalidParams):
+        make_dataset(tmp_path / "d", 1, 1, seed=-1)
+    assert not (tmp_path / "d").exists()
+
+
 def test_area_bounds_enforced():
     # Tiny kidney in a big frame: under 5 % coverage.
     with pytest.raises(InvalidParams):
