@@ -10,13 +10,14 @@ strided slice of the padded input that the tap reads.  Convolutions run
 on pixel-major columns: `_columns` copies each tap slice once into a
 (c, kh·kw, n, oh, ow) buffer, so every row of the lowered
 (c·kh·kw, n·oh·ow) matrix is a contiguous run of output pixels, and each
-conv function is one channels-first GEMM over it.  Every matrix handed
-to BLAS comes from `_gemm_matrix`, whose rows are padded by 16 elements
-when their length is a multiple of 4 KiB: at such a stride (64² pixels
-times a batch, in float32) every row of a packed panel maps onto the same
-cache sets, and a 4×16×64² 3×3 conv forward ran 14× slower.  `_gather`
-(weights @ columns) is the forward of conv2d and the input gradient of
-transposed_conv2d_vjp; both weight gradients are g @ columns.T.
+conv function is one channels-first GEMM over it.  The columns, the
+channels-first copy and the scatter product come from `_gemm_matrix`,
+whose rows are padded by 16 elements when their length is a multiple of
+4 KiB: at such a stride (64² pixels times a batch, in float32) every row
+of a packed panel maps onto the same cache sets, and a 4×16×64² 3×3 conv
+forward ran 14× slower.  `_gather` (weights @ columns) is the forward of
+conv2d and the input gradient of transposed_conv2d_vjp; both weight
+gradients are g @ columns.T.
 `_scatter`, the adjoint of `_gather`, computes weights.T @ g as
 (c, kh·kw, n, gh, gw), adds it tap by tap onto a zero grid and crops the
 padding: the input gradient of conv2d_vjp and the forward of
@@ -139,7 +140,7 @@ def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, oh: int, ow: in
     n, c = xp.shape[:2]
     kh, kw = kernel
     cols = _gemm_matrix(c * kh * kw, n * oh * ow, xp.dtype)
-    taps = cols.reshape((c, kh * kw, n, oh, ow), copy=False)
+    taps = cols.reshape((c, kh * kw, n, oh, ow))
     for i in range(kh):
         for j in range(kw):
             tap = xp[_tap(i * dilation, j * dilation, stride, oh, ow)]
@@ -154,16 +155,15 @@ def _channels_first(a: np.ndarray) -> np.ndarray:
     if n == 1 and _leading_dim(h * w, a.dtype) == h * w:
         return a.reshape(c, h * w)
     out = _gemm_matrix(c, n * h * w, a.dtype)
-    out.reshape((c, n, h, w), copy=False)[...] = a.transpose(1, 0, 2, 3)
+    out.reshape((c, n, h, w))[...] = a.transpose(1, 0, 2, 3)
     return out
 
 
 def _gather(cols: np.ndarray, w: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
     """w (k, c, kh, kw) times the columns of an (n, c) input: (n, k, oh, ow)."""
     k = w.shape[0]
-    y = np.matmul(w.reshape(k, -1), cols,
-                  out=_gemm_matrix(k, n * oh * ow, np.result_type(w, cols)))
-    return np.ascontiguousarray(y.reshape((k, n, oh, ow), copy=False).transpose(1, 0, 2, 3))
+    y = (w.reshape(k, -1) @ cols).reshape(k, n, oh, ow)
+    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
 
 
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, dilation: int, p: int,
@@ -176,7 +176,7 @@ def _scatter(g: np.ndarray, w: np.ndarray, stride: int, dilation: int, p: int,
     h, wd = hw
     prod = np.matmul(w.reshape(k, -1).T, _channels_first(g),
                      out=_gemm_matrix(c * kh * kw, n * gh * gw, np.result_type(w, g)))
-    prod = prod.reshape((c, kh * kw, n, gh, gw), copy=False)
+    prod = prod.reshape((c, kh * kw, n, gh, gw))
     full = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=dtype)
     for i in range(kh):
         for j in range(kw):
