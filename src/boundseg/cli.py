@@ -97,7 +97,7 @@ def _parse_bool(text: str) -> bool:
 def read_train_config(path):
     """Parse a key=value training config file into
     (PipelineConfig, LossSchedule, hyperparameter dict)."""
-    from .errors import InvalidParams, IoFailure
+    from .errors import InvalidParams, opened
     from .models import (
         ClassifierSpec,
         EncoderSpec,
@@ -107,13 +107,8 @@ def read_train_config(path):
     )
 
     values = dict(TRAIN_CONFIG_DEFAULTS)
-    path = Path(path)
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise IoFailure(f"cannot read config {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise InvalidParams(f"config {path} is not UTF-8 text: {exc}") from exc
+    with opened(path, "r", "config") as f:
+        text = f.read()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -169,7 +164,7 @@ def read_train_config(path):
 
 def cmd_gen(args) -> int:
     from .errors import InvalidParams
-    from .phantom import DEFAULT_RANGES, make_dataset
+    from .phantom import DEFAULT_RANGES, make_dataset, read_manifest
 
     ranges = dict(DEFAULT_RANGES)
     for spec in args.range or []:
@@ -196,9 +191,7 @@ def cmd_gen(args) -> int:
         augment=args.augment,
         ranges=ranges,
     )
-    total = sum(1 for line in Path(manifest).read_text().splitlines()
-                if line and not line.startswith("#"))
-    print(f"wrote {total} samples to {args.out}")
+    print(f"wrote {len(read_manifest(manifest))} samples to {args.out}")
     return EXIT_OK
 
 
@@ -217,6 +210,7 @@ def cmd_train(args) -> int:
     from .models import train
 
     config, schedule, hypers = read_train_config(args.config)
+    log.info("training config: %s, %s, %s", config, schedule, hypers)
     data = Path(args.data)
     manifest = data / "manifest.tsv" if data.is_dir() else data
     if not manifest.is_file():

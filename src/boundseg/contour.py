@@ -172,27 +172,24 @@ def build_graph(pixels: np.ndarray, link_radius: float) -> PixelGraph:
     return PixelGraph(vertices=vertices, edges=edges)
 
 
-def _component_labels(graph: PixelGraph) -> tuple[list[int], int]:
-    """Per-vertex component root, plus the root of the largest component
-    (ties broken toward the smallest vertex index)."""
+def _forest(graph: PixelGraph):
+    """One Kruskal pass over a non-empty graph, edges in (weight, i, j)
+    order: the minimum spanning forest, each vertex's component root, and
+    the root of the largest component (ties broken toward the component
+    holding the smallest vertex index)."""
     dsu = _DSU(len(graph.vertices))
-    for _, i, j in graph.edges:
-        dsu.union(i, j)
+    forest = [e for e in sorted(graph.edges) if dsu.union(e[1], e[2])]
     roots = [dsu.find(i) for i in range(len(graph.vertices))]
-    best_root, best_size = -1, -1
-    for i, root in enumerate(roots):
-        if root == i:
-            size = dsu.size[root]
-            if size > best_size:
-                best_root, best_size = root, size
-    return roots, best_root
+    # roots in order of first appearance; max keeps the first of equals
+    best = max(dict.fromkeys(roots), key=lambda r: dsu.size[r])
+    return forest, roots, best
 
 
 def largest_component_fraction(graph: PixelGraph) -> float:
     """|largest connected component| / |vertices| (1.0 for empty graphs)."""
     if not graph.vertices:
         return 1.0
-    roots, best = _component_labels(graph)
+    _, roots, best = _forest(graph)
     return roots.count(best) / len(graph.vertices)
 
 
@@ -204,15 +201,8 @@ def minimum_spanning_tree(graph: PixelGraph) -> list[tuple[float, int, int]]:
     """
     if not graph.vertices:
         raise EmptyResult("graph has no vertices")
-    roots, best = _component_labels(graph)
-    dsu = _DSU(len(graph.vertices))
-    tree = []
-    for w, i, j in sorted(graph.edges):
-        if roots[i] != best:
-            continue
-        if dsu.union(i, j):
-            tree.append((w, i, j))
-    return tree
+    forest, roots, best = _forest(graph)
+    return [e for e in forest if roots[e[1]] == best]
 
 
 def _farthest(start: int, adj: dict[int, list[tuple[int, float]]]):

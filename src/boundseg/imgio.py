@@ -14,7 +14,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, IoFailure, MalformedHeader, TruncatedData
+from .errors import BadMagic, MalformedHeader, TruncatedData, opened
 
 FMAP_MAGIC = b"FMAP"
 
@@ -33,20 +33,14 @@ def write_pgm(path, data: np.ndarray) -> None:
         samples = np.rint(np.clip(data, 0.0, 1.0) * 255.0).astype(np.uint8)
     else:
         samples = (np.asarray(data) != 0).astype(np.uint8) * 255
-    try:
-        with open(path, "wb") as f:
-            f.write(b"P5\n%d %d\n255\n" % (w, h))
-            f.write(samples.tobytes())
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with opened(path, "wb", "PGM") as f:
+        f.write(b"P5\n%d %d\n255\n" % (w, h))
+        f.write(samples.tobytes())
 
 
 def _read_pgm_raw(path) -> np.ndarray:
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise IoFailure(f"cannot read {path}: {e}") from e
+    with opened(path, "rb", "PGM") as f:
+        blob = f.read()
     if not blob.startswith(b"P5"):
         raise MalformedHeader(f"{path}: not a binary PGM (P5) file")
     # Header tokens: width, height, maxval; '#' comments allowed between them.
@@ -97,22 +91,16 @@ def write_fmap(path, grid: np.ndarray) -> None:
     if grid.ndim != 2:
         raise MalformedHeader(f"FMAP payload must be 2-D, got shape {grid.shape}")
     h, w = grid.shape
-    try:
-        with open(path, "wb") as f:
-            f.write(FMAP_MAGIC)
-            f.write(struct.pack("<II", w, h))
-            f.write(np.ascontiguousarray(grid, dtype="<f4").tobytes())
-    except OSError as e:
-        raise IoFailure(f"cannot write {path}: {e}") from e
+    with opened(path, "wb", "FMAP") as f:
+        f.write(FMAP_MAGIC)
+        f.write(struct.pack("<II", w, h))
+        f.write(np.ascontiguousarray(grid, dtype="<f4").tobytes())
 
 
 def read_fmap(path) -> np.ndarray:
     """Read an FMAP file back into a float32 grid."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise IoFailure(f"cannot read {path}: {e}") from e
+    with opened(path, "rb", "FMAP") as f:
+        blob = f.read()
     if blob[:4] != FMAP_MAGIC:
         raise BadMagic(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 12:

@@ -12,7 +12,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .distmap import boundary_pixels, euclidean_dt
-from .errors import IoFailure, ManifestMismatch, ShapeMismatch, TooFewSamples
+from .errors import IoFailure, ManifestMismatch, ShapeMismatch, TooFewSamples, opened
 from .imgio import read_pgm_mask
 from .phantom import read_manifest
 
@@ -249,24 +249,16 @@ def write_report(path, report: EvalReport) -> None:
         for name in METRIC_NAMES:
             p = report.p_values.get(name)
             lines.append(f"# pvalue\t{name}\t{'na' if p is None else repr(p)}\n")
-    try:
-        with open(path, "w") as f:
-            f.writelines(lines)
-    except OSError as e:
-        raise IoFailure(f"cannot write report {path}: {e}") from e
+    with opened(path, "w", "report") as f:
+        f.writelines(lines)
 
 
 def read_report(path) -> EvalReport:
     """Parse a report file; aggregates are recomputed, not trusted."""
     rows = []
     p_values = None
-    try:
-        with open(path) as f:
-            body = f.readlines()
-    except OSError as e:
-        raise IoFailure(f"cannot read report {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise IoFailure(f"report {path} is not UTF-8 text: {e}") from e
+    with opened(path, "r", "report") as f:
+        body = f.readlines()
     try:
         for line in body:
             line = line.rstrip("\n")

@@ -23,6 +23,7 @@ from .errors import (
     InvalidParams,
     IoFailure,
     ShapeMismatch,
+    opened,
 )
 from .imgio import read_fmap, read_pgm_image, read_pgm_mask
 from .metrics import dice
@@ -47,6 +48,14 @@ DECONV_KERNEL = 4  # k=4, s=2, p=1 doubles the spatial size exactly
 # ---------------------------------------------------------------------------
 # configuration
 
+def _check_type(what: str, kind: type, *values) -> None:
+    """Sizes are exactly int and switches exactly bool: a float width fails
+    deep in the engine, and a string switch is silently truthy."""
+    for v in values:
+        if type(v) is not kind:
+            raise InvalidParams(f"{what} must be {kind.__name__}, got {v!r}")
+
+
 @dataclass(frozen=True)
 class EncoderSpec:
     """Stack of 3x3 conv blocks; pooled blocks halve resolution (ceil),
@@ -58,6 +67,8 @@ class EncoderSpec:
     dilations: tuple[int, ...] = (1, 1, 1, 2, 4)
 
     def __post_init__(self):
+        _check_type("encoder sizes", int, self.in_channels, *self.widths, *self.dilations)
+        _check_type("encoder pools", bool, *self.pools)
         if not (len(self.widths) == len(self.pools) == len(self.dilations)):
             raise InvalidParams("encoder widths/pools/dilations lengths differ")
         if sum(self.pools) != 3:
@@ -77,6 +88,8 @@ class HeadSpec:
     out_channels: int = 1
 
     def __post_init__(self):
+        _check_type("head widths", int, self.project, *self.deconv_widths,
+                    self.out_channels)
         if len(self.deconv_widths) != 3:
             raise InvalidParams(
                 f"head needs exactly 3 stride-2 deconv layers, "
@@ -96,6 +109,8 @@ class ClassifierSpec:
     mirror: bool = False
 
     def __post_init__(self):
+        _check_type("classifier sizes", int, *self.widths, *(self.dilations or ()))
+        _check_type("classifier mirror", bool, self.mirror)
         if self.dilations is not None and len(self.dilations) != len(self.widths):
             raise InvalidParams("classifier dilations must match widths")
         if min(self.widths, default=1) < 1:
@@ -111,6 +126,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         h, w = self.input_size
+        _check_type("input size", int, h, w)
         if h < 16 or w < 16:
             raise InvalidParams(f"input size {h}x{w} too small (need >= 16)")
 
@@ -469,14 +485,11 @@ def write_training_log(path, records: list[EpochRecord]) -> None:
     def fmt(v):
         return "na" if v is None else repr(v)
 
-    try:
-        with open(path, "w") as f:
-            f.write("# epoch\tlambda\tl2\tce\tval_dice\n")
-            for r in records:
-                f.write(f"{r.epoch}\t{r.lam!r}\t{fmt(r.l2)}\t{fmt(r.ce)}"
-                        f"\t{fmt(r.val_dice)}\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write training log {path}: {e}") from e
+    with opened(path, "w", "training log") as f:
+        f.write("# epoch\tlambda\tl2\tce\tval_dice\n")
+        for r in records:
+            f.write(f"{r.epoch}\t{r.lam!r}\t{fmt(r.l2)}\t{fmt(r.ce)}"
+                    f"\t{fmt(r.val_dice)}\n")
 
 
 def read_training_log(path) -> list[EpochRecord]:
@@ -485,7 +498,7 @@ def read_training_log(path) -> list[EpochRecord]:
 
     out = []
     try:
-        with open(path) as f:
+        with opened(path, "r", "training log") as f:
             for line in f:
                 line = line.rstrip("\n")
                 if not line or line.startswith("#"):
@@ -493,9 +506,7 @@ def read_training_log(path) -> list[EpochRecord]:
                 e, lam, l2, ce, vd = line.split("\t")
                 out.append(EpochRecord(int(e), float(lam), parse(l2),
                                        parse(ce), parse(vd)))
-    except OSError as e:
-        raise IoFailure(f"cannot read training log {path}: {e}") from e
-    except ValueError as e:  # also UnicodeDecodeError
+    except ValueError as e:
         raise IoFailure(f"malformed training log {path}: {e}") from e
     return out
 
@@ -537,11 +548,17 @@ def predict_dmap(img: np.ndarray, model, raw: bool = False) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # persistence
 
-def _config_from_dict(meta: dict) -> PipelineConfig:
-    """The pipeline config of a parsed sidecar; a missing key or a value
-    of the wrong type is a data error, not a crash."""
+def _sidecar(path) -> Path:
+    return Path(path).with_suffix(".json")
+
+
+def _read_sidecar(sidecar: Path) -> PipelineConfig:
+    """The pipeline config in a JSON sidecar; malformed JSON, a missing
+    key or a value of the wrong type is a data error, not a crash."""
+    with opened(sidecar, "r", "config sidecar") as f:
+        text = f.read()
     try:
-        d = meta["config"]
+        d = json.loads(text)["config"]
         enc = d["encoder"]
         head = d["head"]
         cls = d["classifier"]
@@ -550,7 +567,7 @@ def _config_from_dict(meta: dict) -> PipelineConfig:
             encoder=EncoderSpec(
                 in_channels=enc["in_channels"],
                 widths=tuple(enc["widths"]),
-                pools=tuple(bool(p) for p in enc["pools"]),
+                pools=tuple(enc["pools"]),
                 dilations=tuple(enc["dilations"])),
             head=HeadSpec(
                 project=head["project"],
@@ -562,36 +579,23 @@ def _config_from_dict(meta: dict) -> PipelineConfig:
                            else tuple(cls["dilations"])),
                 mirror=cls["mirror"]),
         )
-    except (KeyError, TypeError, ValueError) as e:
-        raise IoFailure(f"malformed config sidecar: {type(e).__name__}: {e}") from e
-
-
-def _sidecar(path) -> Path:
-    return Path(path).with_suffix(".json")
+    except (KeyError, TypeError, ValueError, InvalidParams) as e:
+        raise IoFailure(
+            f"malformed config sidecar {sidecar}: {type(e).__name__}: {e}") from e
 
 
 def save_model(path, model: SegmentationModel) -> None:
     """Write parameters in the checkpoint format plus a JSON config
     sidecar next to it, both byte-deterministic."""
     ckpt.save_checkpoint(path, [(n, p.data) for n, p in model.named_params()])
-    try:
-        _sidecar(path).write_text(
-            json.dumps({"config": asdict(model.config)},
-                       sort_keys=True, separators=(",", ":")) + "\n")
-    except OSError as e:
-        raise IoFailure(f"cannot write config sidecar for {path}: {e}") from e
+    with opened(_sidecar(path), "w", "config sidecar") as f:
+        f.write(json.dumps({"config": asdict(model.config)},
+                           sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def load_model(path, dtype=np.float32) -> SegmentationModel:
     """Rebuild a model from a checkpoint and its config sidecar."""
-    sidecar = _sidecar(path)
-    try:
-        meta = json.loads(sidecar.read_text())
-    except OSError as e:
-        raise IoFailure(f"cannot read config sidecar {sidecar}: {e}") from e
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise IoFailure(f"malformed config sidecar {sidecar}: {e}") from e
-    model = SegmentationModel(_config_from_dict(meta), seed=0, dtype=dtype)
+    model = SegmentationModel(_read_sidecar(_sidecar(path)), seed=0, dtype=dtype)
     arrays = ckpt.load_checkpoint(path)
     for name, p in model.named_params():
         if name not in arrays:

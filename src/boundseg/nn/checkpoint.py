@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-from ..errors import BadMagic, IoFailure, MalformedHeader, TruncatedData
+from ..errors import BadMagic, MalformedHeader, TruncatedData, opened
 
 MAGIC = b"BSEG"
 VERSION = 1
@@ -27,27 +27,21 @@ def _shape4(shape) -> tuple[int, int, int, int]:
 
 def save_checkpoint(path, named_arrays) -> None:
     """Write (name, array) pairs; arrays are stored as float32."""
-    try:
-        with open(path, "wb") as f:
-            f.write(MAGIC)
-            f.write(struct.pack("<I", VERSION))
-            for name, arr in named_arrays:
-                raw = name.encode("utf-8")
-                f.write(struct.pack("<I", len(raw)))
-                f.write(raw)
-                f.write(struct.pack("<4I", *_shape4(arr.shape)))
-                f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
-    except OSError as e:
-        raise IoFailure(f"cannot write checkpoint {path}: {e}") from e
+    with opened(path, "wb", "checkpoint") as f:
+        f.write(MAGIC)
+        f.write(struct.pack("<I", VERSION))
+        for name, arr in named_arrays:
+            raw = name.encode("utf-8")
+            f.write(struct.pack("<I", len(raw)))
+            f.write(raw)
+            f.write(struct.pack("<4I", *_shape4(arr.shape)))
+            f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
     """Read a checkpoint back as an ordered {name: float32 array} dict."""
-    try:
-        with open(path, "rb") as f:
-            blob = f.read()
-    except OSError as e:
-        raise IoFailure(f"cannot read checkpoint {path}: {e}") from e
+    with opened(path, "rb", "checkpoint") as f:
+        blob = f.read()
     if blob[:4] != MAGIC:
         raise BadMagic(f"{path}: bad magic {blob[:4]!r}")
     if len(blob) < 8:

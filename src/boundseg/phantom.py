@@ -19,7 +19,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .distmap import boundary_pixels, euclidean_dt, mask_to_distance_map
-from .errors import InvalidParams, IoFailure, ShapeMismatch
+from .errors import InvalidParams, IoFailure, ShapeMismatch, opened
 from .imgio import write_fmap, write_pgm
 
 # intensity levels of the piecewise phantom (before ramp/blur/speckle)
@@ -245,6 +245,8 @@ def generate_sample(frame: tuple[int, int], seed: int, index: int,
     depends only on (frame, seed, index).
     """
     check_seed(seed)
+    if index < 0:
+        raise InvalidParams(f"sample index must be >= 0, got {index}")
     merged = dict(DEFAULT_RANGES)
     if ranges:
         merged.update(ranges)
@@ -319,12 +321,9 @@ def make_dataset(out_dir, n_train: int, n_test: int, seed: int,
                     emit(f"{sid}_aug{k}", img2, mask2, split)
 
     manifest = out / "manifest.tsv"
-    try:
-        with open(manifest, "w") as f:
-            f.write("# id\timage\tmask\tdmap\tsplit\n")
-            f.writelines(lines)
-    except OSError as e:
-        raise IoFailure(f"cannot write manifest {manifest}: {e}") from e
+    with opened(manifest, "w", "manifest") as f:
+        f.write("# id\timage\tmask\tdmap\tsplit\n")
+        f.writelines(lines)
     return manifest
 
 
@@ -332,21 +331,16 @@ def read_manifest(path) -> list[SampleRecord]:
     """Parse a manifest; relative paths are resolved against its directory."""
     base = Path(path).parent
     records = []
-    try:
-        with open(path) as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 5:
-                    raise IoFailure(f"manifest line has {len(parts)} fields: {line!r}")
-                sid, img, mask, dmap, split = parts
-                records.append(SampleRecord(
-                    id=sid, image=base / img, mask=base / mask,
-                    dmap=base / dmap, split=split))
-    except OSError as e:
-        raise IoFailure(f"cannot read manifest {path}: {e}") from e
-    except UnicodeDecodeError as e:
-        raise IoFailure(f"manifest {path} is not UTF-8 text: {e}") from e
+    with opened(path, "r", "manifest") as f:
+        for line in f:
+            line = line.rstrip("\n")
+            if not line or line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 5:
+                raise IoFailure(f"manifest line has {len(parts)} fields: {line!r}")
+            sid, img, mask, dmap, split = parts
+            records.append(SampleRecord(
+                id=sid, image=base / img, mask=base / mask,
+                dmap=base / dmap, split=split))
     return records

@@ -2,6 +2,7 @@
 
 import json
 import logging
+import os
 import shutil
 import subprocess
 import sys
@@ -26,11 +27,11 @@ from boundseg.metrics import read_report
 from boundseg.models import LossSchedule
 
 
-def run_cli(*argv):
+def run_cli(*argv, env=None):
     """Spawn the CLI as a subprocess (fresh interpreter, real exit codes)."""
     return subprocess.run(
         [sys.executable, "-m", "boundseg", *map(str, argv)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
 
 
 def tree_bytes(root):
@@ -198,6 +199,19 @@ def test_train_writes_checkpoint_and_log(checkpoint):
     assert len(rows) == 2
 
 
+def test_train_logs_resolved_training_config(dataset, tmp_path, caplog):
+    caplog.set_level(logging.INFO, logger="boundseg")
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_CONFIG)
+    assert main(["train", "--config", str(cfg), "--data", str(dataset),
+                 "--out", str(tmp_path / "m.bseg")]) == EXIT_OK
+    config, schedule, hypers = read_train_config(cfg)
+    [line] = [r.getMessage() for r in caplog.records
+              if r.getMessage().startswith("training config")]
+    assert line == f"training config: {config}, {schedule}, {hypers}"
+    assert "deconv_widths=(4, 4, 4)" in line and "'batch_size': 2" in line
+
+
 def test_train_deterministic_across_runs(tmp_path, dataset):
     cfg = tmp_path / "t.cfg"
     cfg.write_text(TINY_CONFIG)
@@ -316,11 +330,24 @@ def test_segment_missing_checkpoint_is_data_error(dataset, tmp_path):
                  "--out", str(tmp_path / "o.pgm")]) == EXIT_DATA
 
 
-def test_segment_sidecar_missing_key_is_data_error(checkpoint, dataset, tmp_path):
+SIDECAR_MUTATIONS = {
+    "missing_key": lambda c: c["head"].pop("project"),
+    "float_project": lambda c: c["head"].update(project=2.0),
+    "float_width": lambda c: c["encoder"].update(widths=[4, 4, 4.0, 4, 4]),
+    "bool_width": lambda c: c["classifier"].update(widths=[4, True]),
+    "float_input_size": lambda c: c.update(input_size=[64.0, 64]),
+    "string_mirror": lambda c: c["classifier"].update(mirror="no"),
+    "string_pool": lambda c: c["encoder"].update(pools=["no", "no", "no", False, False]),
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(SIDECAR_MUTATIONS))
+def test_segment_sidecar_missing_key_is_data_error(mutation, checkpoint, dataset,
+                                                   tmp_path):
     ck = tmp_path / "model.bseg"
     shutil.copyfile(checkpoint, ck)
     meta = json.loads(checkpoint.with_suffix(".json").read_text())
-    del meta["config"]["head"]["project"]
+    SIDECAR_MUTATIONS[mutation](meta["config"])
     ck.with_suffix(".json").write_text(json.dumps(meta))
     res = run_cli("segment", "--ckpt", ck,
                   "--image", dataset / "images" / "test_0000.pgm",
@@ -388,6 +415,20 @@ def test_eval_empty_dir_is_data_error(dataset, tmp_path):
     empty.mkdir()
     assert main(["eval", "--pred", str(empty), "--gt", str(dataset / "masks"),
                  "--report", str(tmp_path / "r.tsv")]) == EXIT_DATA
+
+
+def test_eval_reads_utf8_manifest_under_ascii_locale(dataset, tmp_path):
+    # ids and comments outside ASCII must not depend on the locale's encoding
+    mask = (dataset / "masks" / "test_0000.pgm").resolve()
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_bytes(("# préd\n" + "\t".join(
+        ["café", str(mask), str(mask), str(mask), "test"]) + "\n").encode("utf-8"))
+    report = tmp_path / "r.tsv"
+    env = dict(os.environ, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0")
+    res = run_cli("eval", "--pred", manifest, "--gt", manifest, "--report", report,
+                  env=env)
+    assert res.returncode == EXIT_OK, res.stderr
+    assert [r.id for r in read_report(report).rows] == ["café"]
 
 
 def test_eval_deterministic_report(dataset, tmp_path):

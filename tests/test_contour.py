@@ -222,6 +222,17 @@ def test_mst_operates_on_largest_component():
     assert sorted(tree) == [(1.0, 2, 3), (1.0, 3, 4)]
 
 
+def test_mst_equal_size_components_tie_to_smallest_vertex():
+    # {0, 5, 6} and {1, 2, 3} both have three vertices; the one holding
+    # vertex 0 wins, whatever order the edges come in
+    g = PixelGraph(
+        vertices=[(0, k) for k in range(7)],
+        edges=[(1.0, 5, 6), (1.0, 0, 5), (1.0, 1, 2), (1.0, 2, 3)],
+    )
+    assert [(i, j) for _, i, j in minimum_spanning_tree(g)] == [(0, 5), (5, 6)]
+    assert largest_component_fraction(g) == 3 / 7
+
+
 # --- max path ---
 
 def tree_path_weights(n, tree_edges):

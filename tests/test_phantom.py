@@ -314,6 +314,11 @@ def test_make_dataset_rejects_empty_split(tmp_path):
         make_dataset(tmp_path / "ds", n_train=0, n_test=1, seed=0)
 
 
+def test_negative_index_is_invalid_params():
+    with pytest.raises(InvalidParams, match="sample index"):
+        generate_sample((64, 64), 0, -1)
+
+
 def test_read_manifest_rejects_malformed(tmp_path):
     from boundseg.errors import IoFailure
     bad = tmp_path / "manifest.tsv"
