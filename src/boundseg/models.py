@@ -31,6 +31,7 @@ from .nn import checkpoint as ckpt
 from .nn import ops
 from .nn.layers import (
     Conv2d,
+    Layer,
     MaxPool2d,
     Param,
     ReLU,
@@ -150,6 +151,7 @@ class LossSchedule:
                 raise InvalidParams(f"lambda {v} outside [0, 1]")
         if self.lambda_start < self.lambda_end:
             raise InvalidParams("lambda must not increase over training")
+        _check_type("total epochs", int, self.total_epochs)
         if self.total_epochs < 1:
             raise InvalidParams("need at least one epoch")
 
@@ -220,7 +222,8 @@ def _build_encoder(spec: EncoderSpec, rng, dtype, name: str) -> Sequential:
     return Sequential(layers, name=name)
 
 
-def _build_head(in_channels: int, spec: HeadSpec, rng, dtype, name: str) -> Sequential:
+def _build_head(in_channels: int, spec: HeadSpec, target: tuple[int, int], rng, dtype,
+                name: str) -> Sequential:
     layers = [Conv2d(ConvSpec(in_channels, spec.project, (1, 1)), rng, dtype), ReLU()]
     c = spec.project
     for width in spec.deconv_widths:
@@ -230,6 +233,7 @@ def _build_head(in_channels: int, spec: HeadSpec, rng, dtype, name: str) -> Sequ
         layers.append(ReLU())
         c = width
     layers.append(Conv2d(ConvSpec(c, spec.out_channels, (1, 1)), rng, dtype))
+    layers.append(_CropToInput(target))
     return Sequential(layers, name=name)
 
 
@@ -246,29 +250,27 @@ def _build_conv_classifier(spec: ClassifierSpec, rng, dtype, name: str) -> Seque
     return Sequential(layers, name=name)
 
 
-class _CropToInput:
+class _CropToInput(Layer):
     """Differentiable center crop from the head's raw output down to the
     input size; backward scatters the gradient back into a zero frame."""
 
     def __init__(self, target: tuple[int, int]):
         self.target = target
-        self._raw_shape = None
-        self._offset = None
 
-    def forward(self, raw: np.ndarray) -> np.ndarray:
+    def forward(self, raw: np.ndarray, keep: bool = True) -> np.ndarray:
         th, tw = self.target
         rh, rw = raw.shape[2], raw.shape[3]
         if rh < th or rw < tw:
             raise ShapeMismatch(f"head output {rh}x{rw} smaller than input {th}x{tw}")
         t, l = (rh - th) // 2, (rw - tw) // 2
-        self._raw_shape = raw.shape
-        self._offset = (t, l)
+        if keep:
+            self._saved = (raw.shape, t, l)
         return raw[:, :, t : t + th, l : l + tw]
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
-        t, l = self._offset
+        shape, t, l = self._take()
         th, tw = self.target
-        g = np.zeros(self._raw_shape, dtype=gy.dtype)
+        g = np.zeros(shape, dtype=gy.dtype)
         g[:, :, t : t + th, l : l + tw] = gy
         return g
 
@@ -282,9 +284,8 @@ class SegmentationModel:
         self.dtype = dtype
         rng = np.random.default_rng(seed)
         self.encoder = _build_encoder(config.encoder, rng, dtype, "encoder")
-        self.head = _build_head(config.encoder.widths[-1], config.head, rng,
-                                dtype, "head")
-        self._crop = _CropToInput(config.input_size)
+        self.head = _build_head(config.encoder.widths[-1], config.head,
+                                config.input_size, rng, dtype, "head")
         if config.classifier.mirror:
             cls_encoder = EncoderSpec(
                 in_channels=1,
@@ -297,13 +298,11 @@ class SegmentationModel:
                               HeadSpec(project=config.head.project,
                                        deconv_widths=config.head.deconv_widths,
                                        out_channels=2),
-                              rng, dtype, "cls_head").layers,
+                              config.input_size, rng, dtype, "cls_head").layers,
                 name="classifier")
-            self._cls_crop = _CropToInput(config.input_size)
         else:
             self.classifier = _build_conv_classifier(config.classifier, rng,
                                                      dtype, "classifier")
-            self._cls_crop = None
 
     # -- parameters ---------------------------------------------------------
 
@@ -316,38 +315,37 @@ class SegmentationModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x is (n, in_channels, h, w); returns (pred_dmap, logits)."""
+    def forward(self, x: np.ndarray, keep: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """x is (n, in_channels, h, w); returns (pred_dmap, logits).
+
+        keep=True saves what one `backward` needs; inference passes
+        keep=False, and no layer then holds an activation."""
         h, w = self.config.input_size
         if x.ndim != 4 or x.shape[1] != self.config.encoder.in_channels \
                 or x.shape[2:] != (h, w):
             raise ShapeMismatch(
                 f"input {x.shape} does not match config "
                 f"(n, {self.config.encoder.in_channels}, {h}, {w})")
-        feats = self.encoder.forward(x)
-        pred = self._crop.forward(self.head.forward(feats))
-        logits = self.classifier.forward(pred)
-        if self._cls_crop is not None:
-            logits = self._cls_crop.forward(logits)
-        return pred, logits
+        pred = self.head.forward(self.encoder.forward(x, keep), keep)
+        return pred, self.classifier.forward(pred, keep)
 
     def backward(self, g_pred: np.ndarray | None,
                  g_logits: np.ndarray | None) -> None:
         """Accumulate parameter gradients; either cotangent may be None.
         Gradients from the classifier flow through the predicted map into
-        the regression head and encoder (end-to-end)."""
+        the regression head and encoder (end-to-end).  Consumes what the
+        last forward(keep=True) saved, the classifier's too when g_logits
+        is None."""
         if g_pred is None and g_logits is None:
             raise ShapeMismatch("backward needs at least one cotangent")
-        total = None
-        if g_logits is not None:
-            gl = g_logits
-            if self._cls_crop is not None:
-                gl = self._cls_crop.backward(gl)
-            total = self.classifier.backward(gl)
-        if g_pred is not None:
-            total = g_pred if total is None else total + g_pred
-        g_feats = self.head.backward(self._crop.backward(total))
-        self.encoder.backward(g_feats)  # input gradient is discarded
+        if g_logits is None:
+            self.classifier.forget()
+            total = g_pred
+        else:
+            total = self.classifier.backward(g_logits)
+            if g_pred is not None:
+                total = total + g_pred
+        self.encoder.backward(self.head.backward(total))  # input gradient is discarded
 
 
 def pseudo_color(img: np.ndarray, dtype=np.float32) -> np.ndarray:
@@ -523,7 +521,7 @@ def _as_model(model_or_path) -> SegmentationModel:
 def segment_batch(imgs: np.ndarray, model) -> np.ndarray:
     """Segment a (k, h, w) stack; argmax over logits, ties -> background."""
     model = _as_model(model)
-    _, logits = model.forward(pseudo_color(imgs, model.dtype))
+    _, logits = model.forward(pseudo_color(imgs, model.dtype), keep=False)
     return (logits[:, 1] > logits[:, 0]).astype(np.uint8)
 
 
@@ -540,7 +538,7 @@ def predict_dmap(img: np.ndarray, model, raw: bool = False) -> np.ndarray:
     if np.asarray(img).ndim != 2:
         raise ShapeMismatch(f"expected a single (h, w) image, got {np.asarray(img).shape}")
     model = _as_model(model)
-    pred, _ = model.forward(pseudo_color(np.asarray(img)[None], model.dtype))
+    pred, _ = model.forward(pseudo_color(np.asarray(img)[None], model.dtype), keep=False)
     out = pred[0, 0]
     return out if raw else np.clip(out, 0.0, 1.0)
 

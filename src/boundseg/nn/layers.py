@@ -1,16 +1,23 @@
 """Stateful layers over the functional ops, plus SGD with momentum.
 
-Layers cache their forward input and accumulate parameter gradients into
-`Param.grad`; `sgd_step` consumes and zeroes those buffers.  Weight init
-is He-style scaled-uniform (+-sqrt(6 / fan_in)), which keeps activation
-variance roughly constant through deep ReLU stacks; biases start at zero.
+A forward with keep=True saves what the layer's backward needs, and
+nothing more: `Conv2d` and `TransposedConv2d` their input, `ReLU` its
+output (which is the next layer's input, so the array is held once),
+`MaxPool2d` its input and output.  Backward consumes the saved arrays,
+so activations are freed as the backward walks down, and a second
+backward without a new forward raises `ShapeMismatch`.  A forward with
+keep=False (inference) saves nothing.  Backward accumulates parameter
+gradients into `Param.grad`; `sgd_step` consumes and zeroes those
+buffers in place.  Weight init is He-style scaled-uniform
+(+-sqrt(6 / fan_in)), which keeps activation variance roughly constant
+through deep ReLU stacks; biases start at zero.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import MissingGradient
+from ..errors import MissingGradient, ShapeMismatch
 from . import ops
 from .ops import ConvSpec, DeconvSpec
 
@@ -43,7 +50,11 @@ def he_uniform(shape, fan_in: int, rng: np.random.Generator,
 
 
 def sgd_step(params, lr: float, momentum: float = 0.0) -> None:
-    """v <- momentum*v - lr*grad; param <- param + v; grads zeroed."""
+    """v <- momentum*v - lr*grad; param <- param + v; grads zeroed.
+
+    Runs in place on each parameter's own buffers, with the same three
+    roundings as the expressions above and no parameter-sized
+    temporaries; `p.data` keeps its identity."""
     params = list(params)
     for p in params:
         if p.grad is None:
@@ -51,22 +62,40 @@ def sgd_step(params, lr: float, momentum: float = 0.0) -> None:
     for p in params:
         if p.vel is None:
             p.vel = np.zeros_like(p.data)
-        p.vel = momentum * p.vel - lr * p.grad
-        p.data = p.data + p.vel
+        p.vel *= momentum
+        p.grad *= lr
+        p.vel -= p.grad
+        p.data += p.vel
         p.grad[...] = 0.0
 
 
 class Layer:
+    """Base of the layers: `forward(x, keep)` saves what `backward` needs
+    in `_saved` when keep is true, and `backward` takes it back out."""
+
+    _saved = None
+
     def params(self) -> list[tuple[str, Param]]:
         return []
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
         raise NotImplementedError
 
     def backward(self, gy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    __call__ = forward
+    def forget(self) -> None:
+        """Drop what forward saved, for a backward that will not run."""
+        self._saved = None
+
+    def _take(self):
+        """What the last forward(keep=True) saved; no layer holds it after."""
+        saved, self._saved = self._saved, None
+        if saved is None:
+            raise ShapeMismatch(
+                f"{type(self).__name__}.backward has nothing to consume: it runs "
+                f"once after each forward(keep=True)")
+        return saved
 
 
 class Conv2d(Layer):
@@ -76,14 +105,14 @@ class Conv2d(Layer):
         self.spec = spec
         self.w = Param(he_uniform(spec.weight_shape(), fan_in, rng, dtype))
         self.b = Param(np.zeros(spec.out_channels, dtype=dtype))
-        self._x: np.ndarray | None = None
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, keep=True):
+        if keep:
+            self._saved = x
         return ops.conv2d(x, self.spec, self.w.data, self.b.data)
 
     def backward(self, gy):
-        gx, gw, gb = ops.conv2d_vjp(self._x, self.spec, self.w.data, gy)
+        gx, gw, gb = ops.conv2d_vjp(self._take(), self.spec, self.w.data, gy)
         self.w.accumulate(gw)
         self.b.accumulate(gb)
         return gx
@@ -100,14 +129,14 @@ class TransposedConv2d(Layer):
         self.spec = spec
         self.w = Param(he_uniform(spec.weight_shape(), fan_in, rng, dtype))
         self.b = Param(np.zeros(spec.out_channels, dtype=dtype))
-        self._x: np.ndarray | None = None
 
-    def forward(self, x):
-        self._x = x
+    def forward(self, x, keep=True):
+        if keep:
+            self._saved = x
         return ops.transposed_conv2d(x, self.spec, self.w.data, self.b.data)
 
     def backward(self, gy):
-        gx, gw, gb = ops.transposed_conv2d_vjp(self._x, self.spec, self.w.data, gy)
+        gx, gw, gb = ops.transposed_conv2d_vjp(self._take(), self.spec, self.w.data, gy)
         self.w.accumulate(gw)
         self.b.accumulate(gb)
         return gx
@@ -117,15 +146,14 @@ class TransposedConv2d(Layer):
 
 
 class ReLU(Layer):
-    def __init__(self):
-        self._x: np.ndarray | None = None
-
-    def forward(self, x):
-        self._x = x
-        return ops.relu(x)
+    def forward(self, x, keep=True):
+        y = ops.relu(x)
+        if keep:
+            self._saved = y  # y > 0 exactly where x > 0
+        return y
 
     def backward(self, gy):
-        return ops.relu_vjp(self._x, gy)
+        return ops.relu_vjp(self._take(), gy)
 
 
 class MaxPool2d(Layer):
@@ -133,17 +161,16 @@ class MaxPool2d(Layer):
         self.window = window
         self.stride = stride
         self.ceil_mode = ceil_mode
-        self._x: np.ndarray | None = None
-        self._y: np.ndarray | None = None
 
-    def forward(self, x):
-        self._x = x
-        self._y = ops.maxpool2d(x, self.window, self.stride, self.ceil_mode)
-        return self._y
+    def forward(self, x, keep=True):
+        y = ops.maxpool2d(x, self.window, self.stride, self.ceil_mode)
+        if keep:
+            self._saved = (x, y)
+        return y
 
     def backward(self, gy):
-        return ops.maxpool2d_vjp(self._x, self.window, self.stride, gy, self.ceil_mode,
-                                 y=self._y)
+        x, y = self._take()
+        return ops.maxpool2d_vjp(x, self.window, self.stride, gy, self.ceil_mode, y=y)
 
 
 class Sequential(Layer):
@@ -151,15 +178,19 @@ class Sequential(Layer):
         self.layers = layers
         self.name = name
 
-    def forward(self, x):
+    def forward(self, x, keep=True):
         for layer in self.layers:
-            x = layer.forward(x)
+            x = layer.forward(x, keep)
         return x
 
     def backward(self, gy):
         for layer in reversed(self.layers):
             gy = layer.backward(gy)
         return gy
+
+    def forget(self):
+        for layer in self.layers:
+            layer.forget()
 
     def params(self):
         out = []

@@ -1,0 +1,191 @@
+"""What the layers hold: each activation once, only until the backward
+that needs it has run, and nothing after an inference forward."""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from boundseg.errors import ShapeMismatch
+from boundseg.models import (
+    ClassifierSpec,
+    EncoderSpec,
+    HeadSpec,
+    PipelineConfig,
+    SegmentationModel,
+    desk_config,
+    predict_dmap,
+    pseudo_color,
+    segment_batch,
+)
+from boundseg.nn import (
+    Conv2d,
+    ConvSpec,
+    DeconvSpec,
+    MaxPool2d,
+    Param,
+    ReLU,
+    Sequential,
+    TransposedConv2d,
+    relu,
+    relu_vjp,
+    sgd_step,
+)
+
+
+def small_mirrored_config(size: int = 32) -> PipelineConfig:
+    return PipelineConfig(
+        input_size=(size, size),
+        encoder=EncoderSpec(widths=(4, 4, 8, 8, 8)),
+        head=HeadSpec(project=8, deconv_widths=(8, 4, 4)),
+        classifier=ClassifierSpec(mirror=True))
+
+
+CONFIGS = {"desk": desk_config, "mirrored": small_mirrored_config}
+
+
+def leaf_layers(model: SegmentationModel):
+    """Every layer in forward order."""
+    return model.encoder.layers + model.head.layers + model.classifier.layers
+
+
+def forward_input(model: SegmentationModel, seed: int = 0, n: int = 2):
+    h, w = model.config.input_size
+    return pseudo_color(np.random.default_rng(seed).random((n, h, w)), model.dtype)
+
+
+def saved_input(layer):
+    return layer._saved[0] if isinstance(layer, MaxPool2d) else layer._saved
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_relu_output_is_the_next_layers_input(name):
+    model = SegmentationModel(CONFIGS[name](), seed=1)
+    model.forward(forward_input(model))
+    layers = leaf_layers(model)
+    pairs = [(a, b) for a, b in zip(layers, layers[1:]) if isinstance(a, ReLU)]
+    assert pairs
+    for relu_layer, nxt in pairs:
+        assert isinstance(relu_layer._saved, np.ndarray)
+        assert saved_input(nxt) is relu_layer._saved, type(nxt).__name__
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("cotangents", ["both", "pred_only", "logits_only"])
+def test_backward_leaves_no_layer_holding_anything(name, cotangents):
+    model = SegmentationModel(CONFIGS[name](), seed=1)
+    pred, logits = model.forward(forward_input(model))
+    assert all(layer._saved is not None for layer in leaf_layers(model))
+    g_pred = None if cotangents == "logits_only" else np.ones_like(pred)
+    g_logits = None if cotangents == "pred_only" else np.ones_like(logits)
+    model.backward(g_pred, g_logits)
+    assert [layer for layer in leaf_layers(model) if layer._saved is not None] == []
+
+
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_inference_keeps_nothing(name):
+    model = SegmentationModel(CONFIGS[name](), seed=1)
+    h, w = model.config.input_size
+    imgs = np.random.default_rng(2).random((2, h, w)).astype(np.float32)
+    segment_batch(imgs, model)
+    assert all(layer._saved is None for layer in leaf_layers(model))
+    predict_dmap(imgs[0], model, raw=True)
+    assert all(layer._saved is None for layer in leaf_layers(model))
+
+
+def test_inference_forward_peaks_below_half_of_training_forward():
+    # the desk topology with the reference's mirrored classifier
+    model = SegmentationModel(PipelineConfig(classifier=ClassifierSpec(mirror=True)), seed=0)
+    x = forward_input(model, n=1)
+    model.forward(x, keep=False)  # first-call allocations stay out of the count
+    tracemalloc.start()
+    try:
+        out = model.forward(x, keep=False)
+        del out
+        tracemalloc.reset_peak()
+        model.forward(x, keep=False)
+        inference = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        out = model.forward(x)
+        training = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inference < training / 2, (inference, training)
+
+
+def old_sgd(data, vel, grad, lr, momentum):
+    vel = momentum * vel - lr * grad
+    return data + vel, vel
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("momentum", [0.0, 0.9])
+def test_sgd_step_in_place_matches_old_expressions(dtype, momentum):
+    rng = np.random.default_rng(4)
+    p = Param(rng.standard_normal((3, 5, 7)).astype(dtype))
+    original = p.data
+    data, vel = p.data.copy(), np.zeros_like(p.data)
+    for step in range(3):
+        grad = rng.standard_normal(p.shape).astype(dtype)
+        p.grad = grad.copy()
+        sgd_step([p], lr=0.037, momentum=momentum)
+        data, vel = old_sgd(data, vel, grad, 0.037, momentum)
+        assert p.data.tobytes() == data.tobytes(), step
+        assert p.vel.tobytes() == vel.tobytes(), step
+        assert p.data.dtype == dtype and not p.grad.any()
+    assert p.data is original
+
+
+def test_relu_vjp_of_output_equals_relu_vjp_of_input():
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5, 1e-30, -1e-30]
+    for dtype in (np.float32, np.float64):
+        x = np.array(specials, dtype=dtype).reshape(1, 1, 3, 3)
+        for gy_value in (1.0, -1.0, -0.0, 0.0, 2.5):
+            gy = np.full_like(x, gy_value)
+            assert relu_vjp(relu(x), gy).tobytes() == relu_vjp(x, gy).tobytes()
+        gy = np.random.default_rng(0).standard_normal(x.shape).astype(dtype)
+        assert relu_vjp(relu(x), gy).tobytes() == relu_vjp(x, gy).tobytes()
+
+
+def make_layers():
+    rng = np.random.default_rng(3)
+    return {
+        "Conv2d": Conv2d(ConvSpec(2, 2, (3, 3), padding=1), rng),
+        "TransposedConv2d": TransposedConv2d(DeconvSpec(2, 2, (4, 4), stride=2, padding=1), rng),
+        "ReLU": ReLU(),
+        "MaxPool2d": MaxPool2d(2, 2, ceil_mode=True),
+        "Sequential": Sequential([Conv2d(ConvSpec(2, 2, (3, 3), padding=1), rng), ReLU()]),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(make_layers()))
+def test_layer_backward_without_a_saved_forward_is_shape_mismatch(kind):
+    layer = make_layers()[kind]
+    x = np.random.default_rng(5).standard_normal((1, 2, 6, 6)).astype(np.float32)
+    gy = np.ones_like(layer.forward(x, keep=False))
+    with pytest.raises(ShapeMismatch, match="nothing to consume"):
+        layer.backward(gy)  # the forward kept nothing
+    layer = make_layers()[kind]
+    with pytest.raises(ShapeMismatch, match="nothing to consume"):
+        layer.backward(gy)  # no forward at all
+    layer.forward(x)
+    layer.backward(gy)
+    with pytest.raises(ShapeMismatch, match="nothing to consume") as err:
+        layer.backward(gy)  # the first backward consumed the cache
+    leaf = layer.layers[-1] if kind == "Sequential" else layer
+    assert type(leaf).__name__ in str(err.value)
+
+
+def test_model_backward_without_a_saved_forward_is_shape_mismatch():
+    model = SegmentationModel(small_mirrored_config(), seed=0)
+    x = forward_input(model, n=1)
+    pred, logits = model.forward(x, keep=False)
+    g_pred, g_logits = np.ones_like(pred), np.ones_like(logits)
+    for args in ((g_pred, g_logits), (g_pred, None), (None, g_logits)):
+        with pytest.raises(ShapeMismatch, match="nothing to consume"):
+            model.backward(*args)
+    model.forward(x)
+    model.backward(g_pred, g_logits)
+    for args in ((g_pred, g_logits), (g_pred, None), (None, g_logits)):
+        with pytest.raises(ShapeMismatch, match="nothing to consume"):
+            model.backward(*args)

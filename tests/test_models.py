@@ -72,6 +72,12 @@ def test_schedule_invariants():
         LossSchedule(total_epochs=0)
 
 
+@pytest.mark.parametrize("epochs", [2.5, True])
+def test_schedule_epochs_must_be_int(epochs):
+    with pytest.raises(InvalidParams, match="total epochs"):
+        LossSchedule(0.9, 0.1, epochs)
+
+
 def test_schedule_linear_and_monotone():
     s = LossSchedule(0.9, 0.1, 60)
     lams = [s.lambda_at(e) for e in range(60)]
