@@ -434,7 +434,7 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
         lam = lambdas[epoch]
         order = rng.permutation(n)
         l2_sum = ce_sum = 0.0
-        for batch in _batch_indices(n, batch_size):
+        for b, batch in enumerate(_batch_indices(n, batch_size)):
             idx = order[list(batch)]
             x = x_all[idx]
             pred, logits = model.forward(x)
@@ -453,8 +453,11 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
                 ce_sum += ce * len(idx)
             total = lam * l2 + (1.0 - lam) * ce
             if not math.isfinite(total):
+                terms = ", ".join(f"{name} = {v}" for name, v in (("l2", l2), ("ce", ce))
+                                  if not math.isfinite(v))
                 raise DivergedTraining(
-                    f"non-finite loss {total} at epoch {epoch}")
+                    f"non-finite loss {total} at epoch {epoch}, batch {b}: "
+                    f"{terms or 'their weighted sum overflowed'}")
             model.backward(g_pred, g_logits)
             sgd_step(params, lr, momentum)
 

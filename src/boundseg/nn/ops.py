@@ -16,14 +16,37 @@ whose rows are padded by 16 elements when their length is a multiple of
 4 KiB: at such a stride (64² pixels times a batch, in float32) every row
 of a packed panel maps onto the same cache sets, and a 4×16×64² 3×3 conv
 forward ran 14× slower.  `_gather` (weights @ columns) is the forward of
-conv2d and the input gradient of transposed_conv2d_vjp; both weight
-gradients are g @ columns.T.
-`_scatter`, the adjoint of `_gather`, computes weights.T @ g as
-(c, kh·kw, n, gh, gw), adds it tap by tap onto a zero grid and crops the
-padding: the input gradient of conv2d_vjp and the forward of
-transposed_conv2d.  The max-pool takes np.maximum over its tap slices,
-and its vjp walks the same taps in row-major order, routing gy to the
-first that holds the window max.
+conv2d and the input gradient of transposed_conv2d_vjp; `_weight_grad`
+(g @ columns.T) is both weight gradients.  `_scatter`, the adjoint of
+`_gather`, computes weights.T @ g as (c, kh·kw, n, gh, gw), adds it tap by
+tap onto a zero grid and crops the padding: the input gradient of
+conv2d_vjp and the forward of transposed_conv2d.  The max-pool takes
+np.maximum over its tap slices, and its vjp walks the same taps in
+row-major order, routing gy to the first that holds the window max.
+
+Chunks: the columns and the scatter product hold kh·kw copies of their
+input, so each is built one chunk at a time, along an axis its GEMM does
+not reduce.  `_gather` builds the columns one band of output rows of one
+image at a time and writes each band's product into its rows of the
+output; `_weight_grad` builds them one chunk of input channels at a time
+and writes each product into its columns of the weight gradient;
+`_scatter` computes the product one chunk of channels at a time and adds
+its taps into those channels of the grid.  Every chunk's GEMM reduces
+over the same full axis as the whole one.  `_spans` sizes the chunks
+from bytes: nearly equal, each at least `_CHUNK_BYTES` and at least the
+operand the GEMM reads again on every chunk (the weights for row bands,
+g for channel chunks).  A buffer smaller than two such chunks is built
+whole, as is every buffer of a desk training batch; the desk validation
+forward (8 images) builds its 16→16 classifier columns one image at a
+time.  At the reference shapes the float32 results
+keep the bytes of the whole GEMMs on OpenBLAS; at small sizes, or in
+float64, a narrower GEMM may take a BLAS kernel that rounds differently.
+A 1×1 kernel at stride 1 is never chunked: its columns are the (padded)
+input itself, channels first, so there is no copy to bound, and with one
+output channel its GEMMs are matrix-vector products, whose bytes change
+when their columns are split.  transposed_conv2d_vjp reduces its columns
+over channels and taps for gx and over pixels for gw, so when they are
+chunked it builds them twice, once along each axis.
 
 Arithmetic runs in the dtype of the inputs: float32 for training,
 float64 when the gradient checker drives the ops.
@@ -129,6 +152,10 @@ def _pad_hw(x: np.ndarray, p: int) -> np.ndarray:
     return xp
 
 
+# Smallest chunk of a conv temporary (columns or scatter product), in bytes.
+_CHUNK_BYTES = 8 << 20
+
+
 def _leading_dim(n: int, dtype) -> int:
     """Row length in elements of a BLAS operand with n columns: n, or n + 16
     when n·itemsize is a multiple of 4 KiB."""
@@ -140,8 +167,27 @@ def _gemm_matrix(m: int, n: int, dtype) -> np.ndarray:
     return np.empty((m, _leading_dim(n, dtype)), dtype=dtype)[:, :n]
 
 
+def _pointwise(kernel, stride: int) -> bool:
+    """A 1×1 kernel at stride 1 reads each (padded) input pixel once."""
+    return tuple(kernel) == (1, 1) and stride == 1
+
+
+def _spans(kernel, stride: int, units: int, unit_bytes: int,
+           reread: int) -> list[tuple[int, int]]:
+    """range(units) as nearly equal runs of at least max(_CHUNK_BYTES, reread)
+    bytes each: [(0, units)] when two such runs do not fit, or when the
+    kernel is pointwise."""
+    if _pointwise(kernel, stride):
+        return [(0, units)]
+    per = -(-max(_CHUNK_BYTES, reread) // unit_bytes)
+    m = max(1, units // per)
+    return [(i * units // m, (i + 1) * units // m) for i in range(m)]
+
+
 def _columns(xp: np.ndarray, kernel, stride: int, dilation: int, oh: int, ow: int):
     """Pixel-major im2col of xp: (c·kh·kw, n·oh·ow), rows in (c, i, j) order."""
+    if _pointwise(kernel, stride):
+        return _channels_first(xp)
     n, c = xp.shape[:2]
     kh, kw = kernel
     cols = _gemm_matrix(c * kh * kw, n * oh * ow, xp.dtype)
@@ -164,29 +210,71 @@ def _channels_first(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gather(cols: np.ndarray, w: np.ndarray, n: int, oh: int, ow: int) -> np.ndarray:
-    """w (k, c, kh, kw) times the columns of an (n, c) input: (n, k, oh, ow)."""
-    k = w.shape[0]
-    y = (w.reshape(k, -1) @ cols).reshape(k, n, oh, ow)
-    return np.ascontiguousarray(y.transpose(1, 0, 2, 3))
+def _gather(xp: np.ndarray, w: np.ndarray, stride: int, dilation: int, oh: int, ow: int):
+    """w (k, c, kh, kw) times the columns of the padded (n, c) input xp.
+
+    Returns (y, cols): y is (n, k, oh, ow); cols are the whole columns, or
+    None when they were built one band of output rows of one image at a
+    time, each band's product written straight into its rows of y."""
+    n, c = xp.shape[:2]
+    k, _, kh, kw = w.shape
+    wm = w.reshape(k, -1)
+    row = c * kh * kw * ow * xp.dtype.itemsize  # the columns of one output row
+    if len(_spans((kh, kw), stride, n * oh, row, wm.nbytes)) == 1:
+        cols = _columns(xp, (kh, kw), stride, dilation, oh, ow)
+        y = (wm @ cols).reshape(k, n, oh, ow)
+        return np.ascontiguousarray(y.transpose(1, 0, 2, 3)), cols
+    y = np.empty((n, k, oh, ow), dtype=np.result_type(w, xp))
+    flat = y.reshape(n, k, oh * ow)
+    for b in range(n):
+        for r0, r1 in _spans((kh, kw), stride, oh, row, wm.nbytes):
+            band = xp[b : b + 1, :, stride * r0 : stride * (r1 - 1) + dilation * (kh - 1) + 1]
+            np.matmul(wm, _columns(band, (kh, kw), stride, dilation, r1 - r0, ow),
+                      out=flat[b, :, r0 * ow : r1 * ow])
+    return y, None
+
+
+def _weight_grad(g: np.ndarray, xp: np.ndarray, kernel, stride: int, dilation: int,
+                 oh: int, ow: int, cols: np.ndarray | None = None) -> np.ndarray:
+    """g (k, n·oh·ow) times the transposed columns of the padded (n, c) input
+    xp: (k, c·kh·kw).  Unless cols gives the whole columns, they are built one
+    chunk of input channels at a time, each product written into its columns
+    of the result."""
+    if cols is not None:
+        return g @ cols.T
+    c = xp.shape[1]
+    kk = kernel[0] * kernel[1]
+    gw = np.empty((g.shape[0], c * kk), dtype=np.result_type(g, xp))
+    for c0, c1 in _spans(kernel, stride, c, kk * g.shape[1] * xp.dtype.itemsize, g.nbytes):
+        np.matmul(g, _columns(xp[:, c0:c1], kernel, stride, dilation, oh, ow).T,
+                  out=gw[:, c0 * kk : c1 * kk])
+    return gw
 
 
 def _scatter(g: np.ndarray, w: np.ndarray, stride: int, dilation: int, p: int,
              hw: tuple[int, int], dtype) -> np.ndarray:
     """Adjoint of _gather: w (k, c, kh, kw) transposed times g (n, k, gh, gw),
     added tap by tap onto a zero (n, c) grid of size hw padded by p, then
-    cropped to hw."""
+    cropped to hw.  The product is computed one chunk of the c channels at a
+    time, and each chunk's taps are added into its channels of the grid."""
     n, k, gh, gw = g.shape
     _, c, kh, kw = w.shape
     h, wd = hw
-    prod = np.matmul(w.reshape(k, -1).T, _channels_first(g),
-                     out=_gemm_matrix(c * kh * kw, n * gh * gw, np.result_type(w, g)))
-    prod = prod.reshape((c, kh * kw, n, gh, gw))
+    kk = kh * kw
+    wt = w.reshape(k, -1).T
+    gcf = _channels_first(g)
+    prod_type = np.result_type(w, g)
     full = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=dtype)
-    for i in range(kh):
-        for j in range(kw):
-            full[_tap(i * dilation, j * dilation, stride, gh, gw)] += (
-                prod[:, i * kw + j].transpose(1, 0, 2, 3))
+    for c0, c1 in _spans((kh, kw), stride, c, kk * gcf.shape[1] * prod_type.itemsize,
+                         gcf.nbytes):
+        prod = np.matmul(wt[c0 * kk : c1 * kk], gcf,
+                         out=_gemm_matrix((c1 - c0) * kk, n * gh * gw, prod_type))
+        prod = prod.reshape((c1 - c0, kk, n, gh, gw))
+        part = full[:, c0:c1]
+        for i in range(kh):
+            for j in range(kw):
+                part[_tap(i * dilation, j * dilation, stride, gh, gw)] += (
+                    prod[:, i * kw + j].transpose(1, 0, 2, 3))
     return full[:, :, p : p + h, p : p + wd] if p else full
 
 
@@ -200,8 +288,7 @@ def conv2d(x: np.ndarray, spec: ConvSpec, w: np.ndarray, b: np.ndarray) -> np.nd
     if b.shape != (spec.out_channels,):
         raise ShapeMismatch(f"conv2d bias {b.shape} != ({spec.out_channels},)")
     oh, ow = spec.out_hw(x.shape[2], x.shape[3])
-    cols = _columns(_pad_hw(x, spec.padding), spec.kernel, spec.stride, spec.dilation, oh, ow)
-    y = _gather(cols, w, x.shape[0], oh, ow)
+    y, _ = _gather(_pad_hw(x, spec.padding), w, spec.stride, spec.dilation, oh, ow)
     y += b.reshape(1, -1, 1, 1)
     return y
 
@@ -213,12 +300,10 @@ def conv2d_vjp(x: np.ndarray, spec: ConvSpec, w: np.ndarray, gy: np.ndarray):
     if gy.shape != (x.shape[0], spec.out_channels, oh, ow):
         raise ShapeMismatch(f"conv2d gy {gy.shape} != {(x.shape[0], spec.out_channels, oh, ow)}")
     s, p, d = spec.stride, spec.padding, spec.dilation
-    cols = _columns(_pad_hw(x, p), spec.kernel, s, d, oh, ow)
-    gw = (_channels_first(gy) @ cols.T).reshape(w.shape)
-    del cols  # the scatter's product is as large
+    gw = _weight_grad(_channels_first(gy), _pad_hw(x, p), spec.kernel, s, d, oh, ow)
     gb = gy.sum(axis=(0, 2, 3))
     gx = _scatter(gy, w, s, d, p, x.shape[2:], x.dtype)
-    return gx, gw, gb
+    return gx, gw.reshape(w.shape), gb
 
 
 def transposed_conv2d(x: np.ndarray, spec: DeconvSpec, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -233,7 +318,8 @@ def transposed_conv2d(x: np.ndarray, spec: DeconvSpec, w: np.ndarray, b: np.ndar
         raise ShapeMismatch(f"transposed_conv2d bias {b.shape} != ({spec.out_channels},)")
     oh, ow = spec.out_hw(x.shape[2], x.shape[3])
     y = _scatter(x, w, spec.stride, 1, spec.padding, (oh, ow), x.dtype)
-    return y + b.reshape(1, -1, 1, 1)
+    y += b.reshape(1, -1, 1, 1)
+    return y
 
 
 def transposed_conv2d_vjp(x: np.ndarray, spec: DeconvSpec, w: np.ndarray, gy: np.ndarray):
@@ -243,12 +329,14 @@ def transposed_conv2d_vjp(x: np.ndarray, spec: DeconvSpec, w: np.ndarray, gy: np
     oh, ow = spec.out_hw(ih, iw)
     if gy.shape != (n, spec.out_channels, oh, ow):
         raise ShapeMismatch(f"transposed_conv2d gy {gy.shape} != {(n, spec.out_channels, oh, ow)}")
-    # padded gy windows seen from each input position
-    cols = _columns(_pad_hw(gy, spec.padding), spec.kernel, spec.stride, 1, ih, iw)
-    gx = _gather(cols, w, n, ih, iw)
-    gw = (_channels_first(x) @ cols.T).reshape(w.shape)
+    # the padded gy windows seen from each input position; gx reduces their
+    # columns over channels and taps, gw over pixels, so chunked columns are
+    # built once for each
+    gyp = _pad_hw(gy, spec.padding)
+    gx, cols = _gather(gyp, w, spec.stride, 1, ih, iw)
+    gw = _weight_grad(_channels_first(x), gyp, spec.kernel, spec.stride, 1, ih, iw, cols)
     gb = gy.sum(axis=(0, 2, 3))
-    return gx, gw, gb
+    return gx, gw.reshape(w.shape), gb
 
 
 def relu(x: np.ndarray) -> np.ndarray:

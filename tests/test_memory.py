@@ -1,5 +1,6 @@
 """What the layers hold: each activation once, only until the backward
-that needs it has run, and nothing after an inference forward."""
+that needs it has run, and nothing after an inference forward; and what
+the conv gradients allocate while they run."""
 
 import tracemalloc
 
@@ -27,9 +28,12 @@ from boundseg.nn import (
     ReLU,
     Sequential,
     TransposedConv2d,
+    conv2d_vjp,
+    ops,
     relu,
     relu_vjp,
     sgd_step,
+    transposed_conv2d_vjp,
 )
 
 
@@ -189,3 +193,27 @@ def test_model_backward_without_a_saved_forward_is_shape_mismatch():
     for args in ((g_pred, g_logits), (g_pred, None), (None, g_logits)):
         with pytest.raises(ShapeMismatch, match="nothing to consume"):
             model.backward(*args)
+
+
+@pytest.mark.parametrize("vjp,spec,hw", [
+    (conv2d_vjp, ConvSpec(64, 128, (3, 3), padding=1), 161),
+    (transposed_conv2d_vjp, DeconvSpec(64, 32, (4, 4), stride=2, padding=1), 164),
+])
+def test_conv_vjp_peaks_within_inputs_outputs_and_two_chunks(vjp, spec, hw):
+    """The k²-fold columns and scatter product are built in chunks: at the
+    reference step's largest shapes, whole they were 57-60 MB each."""
+    rng = np.random.default_rng(6)
+    x = rng.standard_normal((1, spec.in_channels, hw, hw), dtype=np.float32)
+    w = rng.standard_normal(spec.weight_shape(), dtype=np.float32)
+    gy = rng.standard_normal((1, spec.out_channels) + spec.out_hw(hw, hw), dtype=np.float32)
+    # a chunk holds no more than about one and a half times the larger of
+    # the budget and the operand its GEMM reads again on every chunk
+    chunk = max(ops._CHUNK_BYTES, x.nbytes, w.nbytes, gy.nbytes)
+    tracemalloc.start()
+    try:
+        grads = vjp(x, spec, w, gy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    bound = sum(a.nbytes for a in (x, w, gy, *grads)) + 2 * chunk
+    assert peak <= bound, (peak / 1e6, bound / 1e6)

@@ -1,6 +1,8 @@
 """Pipeline assembly, shape contracts, loss gating, training plumbing,
 and the composed finite-difference gradient check."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -332,9 +334,12 @@ def test_training_deterministic_in_seed(small_dataset):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_training_diverges_loudly(small_dataset):
-    with pytest.raises(DivergedTraining):
+    with pytest.raises(DivergedTraining) as err:
         train(small_dataset, tiny_config(64, 64), LossSchedule(0.5, 0.5, 3),
               lr=1e4, batch_size=2, seed=0)
+    # the epoch, the batch within it and each non-finite term of the loss
+    assert re.fullmatch(r"non-finite loss \S+ at epoch [0-2], batch \d+: "
+                        r"(l2|ce) = (nan|-?inf)(, ce = (nan|-?inf))?", str(err.value)), err.value
 
 
 # ---------------------------------------------------------------------------

@@ -254,23 +254,117 @@ def test_random_geometries_cover_the_corners():
     assert {type(s) for s in padded} == {ConvSpec, DeconvSpec}
 
 
-@pytest.mark.parametrize("n,spec,h,w", GEOMETRIES)
-def test_conv_functions_match_loops_on_random_geometries(n, spec, h, w):
+def _draw(n, spec, h, w, dtype=np.float64):
+    """Input, weights, bias and upstream gradient for one geometry."""
     g = np.random.default_rng([n, h, w, *spec.kernel, spec.stride, spec.padding])
     x = g.standard_normal((n, spec.in_channels, h, w))
     wt = g.standard_normal(spec.weight_shape())
     b = g.standard_normal(spec.out_channels)
     gy = g.standard_normal((n, spec.out_channels) + spec.out_hw(h, w))
+    return [a.astype(dtype) for a in (x, wt, b, gy)]
+
+
+def _program(spec, x, wt, b, gy):
+    """The forward and the three gradients."""
     if isinstance(spec, ConvSpec):
-        pairs = [(conv2d(x, spec, wt, b), naive_conv2d(x, spec, wt, b)),
-                 *zip(conv2d_vjp(x, spec, wt, gy), naive_conv2d_vjp(x, spec, wt, gy))]
-    else:
-        pairs = [(transposed_conv2d(x, spec, wt, b), naive_transposed_conv2d(x, spec, wt, b)),
-                 *zip(transposed_conv2d_vjp(x, spec, wt, gy),
-                      naive_transposed_conv2d_vjp(x, spec, wt, gy))]
-    for got, want in pairs:
+        return [conv2d(x, spec, wt, b), *conv2d_vjp(x, spec, wt, gy)]
+    return [transposed_conv2d(x, spec, wt, b), *transposed_conv2d_vjp(x, spec, wt, gy)]
+
+
+def _loops(spec, x, wt, b, gy):
+    if isinstance(spec, ConvSpec):
+        return [naive_conv2d(x, spec, wt, b), *naive_conv2d_vjp(x, spec, wt, gy)]
+    return [naive_transposed_conv2d(x, spec, wt, b),
+            *naive_transposed_conv2d_vjp(x, spec, wt, gy)]
+
+
+def _assert_match_loops(n, spec, h, w):
+    args = _draw(n, spec, h, w)
+    for got, want in zip(_program(spec, *args), _loops(spec, *args), strict=True):
         assert got.shape == want.shape
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n,spec,h,w", GEOMETRIES)
+def test_conv_functions_match_loops_on_random_geometries(n, spec, h, w):
+    _assert_match_loops(n, spec, h, w)
+
+
+# Under a 1-byte budget a chunk is as large as the operand its GEMM reads
+# again (the weights for row bands, g for channel chunks).  Each of the
+# first three then splits every path it takes into chunks of unequal size.
+CHUNKED = [
+    (2, ConvSpec(5, 12, (3, 3), padding=2, dilation=2), 7, 5),
+    (1, DeconvSpec(17, 5, (4, 4), stride=2, padding=1), 13, 3),
+    (1, ConvSpec(15, 7, (1, 1), stride=2), 9, 9),
+    (2, ConvSpec(3, 1, (1, 1)), 6, 7),  # never chunked
+]
+
+
+@pytest.fixture
+def spans_taken(monkeypatch):
+    """Every split the conv functions make."""
+    taken = []
+    spans = ops._spans
+
+    def spy(*args):
+        taken.append(spans(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(ops, "_spans", spy)
+    return taken
+
+
+@pytest.mark.parametrize("n,spec,h,w", CHUNKED)
+def test_chunked_conv_functions_match_loops(monkeypatch, spans_taken, n, spec, h, w):
+    monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)
+    _assert_match_loops(n, spec, h, w)
+    if spec.kernel == (1, 1) and spec.stride == 1:
+        assert spans_taken and all(len(spans) == 1 for spans in spans_taken)
+        x = _draw(1, spec, h, w)[0]
+        assert np.shares_memory(ops._columns(x, spec.kernel, 1, 1, h, w), x)
+        return
+    assert spans_taken
+    for spans in spans_taken:
+        widths = {stop - start for start, stop in spans}
+        assert len(spans) >= 2 and len(widths) == 2, spans
+
+
+def test_chunked_conv_functions_match_loops_on_random_geometries(monkeypatch, spans_taken):
+    monkeypatch.setattr(ops, "_CHUNK_BYTES", 1)
+    split = 0
+    for n, spec, h, w in GEOMETRIES:
+        spans_taken.clear()
+        _assert_match_loops(n, spec, h, w)
+        split += any(len(spans) >= 2 for spans in spans_taken)
+    assert split >= len(GEOMETRIES) * 3 // 4, split
+
+
+# the reference layers whose columns or scatter products are chunked at
+# the default budget (batch 1, float32, as the reference step runs them)
+REFERENCE_CHUNKED = [
+    (1, ConvSpec(64, 128, (3, 3), padding=1), 161, 161),
+    (1, ConvSpec(128, 256, (3, 3), padding=1), 81, 81),
+    (1, ConvSpec(512, 1024, (3, 3), padding=4, dilation=4), 41, 41),
+    (1, DeconvSpec(128, 64, (4, 4), stride=2, padding=1), 82, 82),
+    (1, DeconvSpec(64, 32, (4, 4), stride=2, padding=1), 164, 164),
+]
+
+
+@pytest.mark.parametrize("n,spec,h,w", REFERENCE_CHUNKED)
+def test_chunks_keep_float32_bytes_at_reference_shapes(monkeypatch, spans_taken,
+                                                      n, spec, h, w):
+    """Every chunk's GEMM reduces over the same full axis as the whole one.
+    With OpenBLAS at these sizes that gives the same bytes; at small sizes,
+    or in float64, a narrower GEMM may take a kernel that rounds
+    differently."""
+    args = _draw(n, spec, h, w, np.float32)
+    chunked = _program(spec, *args)
+    assert max(len(spans) for spans in spans_taken) >= 2
+    monkeypatch.setattr(ops, "_CHUNK_BYTES", 1 << 62)
+    for got, whole in zip(chunked, _program(spec, *args), strict=True):
+        assert got.dtype == np.float32
+        assert got.tobytes() == whole.tobytes()
 
 
 def test_conv_operands_avoid_4k_row_strides():

@@ -1,0 +1,164 @@
+"""Check that two checkouts of boundseg produce byte-identical outputs.
+
+    python tools/byte_identity.py PARENT CHILD
+
+PARENT and CHILD are the roots of two checkouts (each with `src/boundseg`).
+In each, with BLAS pinned to one thread and the program imported from that
+checkout's `src`, this runs the same recipe in a fresh directory:
+
+- `gen` of a 64² dataset (12 train, 8 test, seed 5);
+- desk `train` for 2 and for 12 epochs (batch 4, seed 3), and a
+  regression-only `train` (lambda pinned at 1, 2 epochs);
+- `segment` of every test image with each of the three checkpoints, in
+  classifier mode with `--overlay` and in `--mode brn --tau 0.2`;
+- `eval` of the regression-only model's classifier masks against the
+  ground truth, with the ground truth as the compared set (after so few
+  epochs the desk models' classifier masks are empty, and `eval` stops at
+  an empty mask);
+- one `reference_config()` SGD step (321², batch 1, lr 0.01, seed 7),
+  with its checkpoint saved.
+
+Every file written and every command's exit code, stdout and stderr are
+kept.  The two output trees are then compared file by file; only the
+per-image latency lines that `segment` prints are ignored.  Prints each
+difference and exits 1 if there is one, else prints a summary and exits 0.
+"""
+
+from __future__ import annotations
+
+import filecmp
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ONE_THREAD = {var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                                   "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                                   "VECLIB_MAXIMUM_THREADS")}
+
+TRAIN_CONFIGS = {
+    "desk2": "epochs = 2\nbatch_size = 4\nseed = 3\n",
+    "desk12": "epochs = 12\nbatch_size = 4\nseed = 3\n",
+    "brn2": "epochs = 2\nbatch_size = 4\nseed = 3\nlambda_start = 1\nlambda_end = 1\n",
+}
+
+REFERENCE_STEP = """\
+from boundseg import models, phantom
+manifest = phantom.make_dataset("ref", 1, 1, 7, frame=(321, 321))
+records = [r for r in phantom.read_manifest(manifest) if r.split == "train"]
+models.train(records, models.reference_config(), models.LossSchedule(0.9, 0.1, 1),
+             0.01, batch_size=1, seed=7, checkpoint_path="ref/step.bseg",
+             log_path="ref/step.log.tsv")
+"""
+
+# `segment` prints "<image>: <seconds>s (<mode>)"
+LATENCY = re.compile(rb"^\S+: \d+\.\d+s \((classifier|brn)\)$", re.MULTILINE)
+
+
+class Runner:
+    """Runs commands of one checkout in its output directory, keeping each
+    command's exit code, stdout and stderr under `runs/`."""
+
+    def __init__(self, tree: Path, out: Path):
+        self.out = out
+        self.env = {**os.environ, **ONE_THREAD, "PYTHONPATH": str(tree / "src")}
+        self.count = 0
+        (out / "runs").mkdir(parents=True)
+
+    def run(self, *args: str) -> int:
+        proc = subprocess.run([sys.executable, *args], cwd=self.out, env=self.env,
+                              capture_output=True)
+        self.count += 1
+        stem = self.out / "runs" / f"{self.count:03d}"
+        stem.with_suffix(".cmd").write_text(" ".join(args) + f"\nexit {proc.returncode}\n",
+                                            encoding="utf-8")
+        stem.with_suffix(".out").write_bytes(proc.stdout)
+        stem.with_suffix(".err").write_bytes(proc.stderr)
+        return proc.returncode
+
+    def cli(self, *args: str) -> int:
+        return self.run("-m", "boundseg", "--threads", "1", *args)
+
+
+def recipe(tree: Path, out: Path) -> None:
+    r = Runner(tree, out)
+    if r.cli("gen", "--out", "d64", "--n-train", "12", "--n-test", "8",
+             "--size", "64", "--seed", "5"):
+        raise SystemExit(f"{tree}: gen failed; see {out / 'runs'}")
+    for name, text in TRAIN_CONFIGS.items():
+        (out / f"{name}.cfg").write_text(text, encoding="utf-8")
+        r.cli("train", "--config", f"{name}.cfg", "--data", "d64", "--out", f"{name}.bseg")
+    rows = [line.split("\t") for line in
+            (out / "d64" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+    tests = [(sample, image, mask) for sample, image, mask, _, split in rows
+             if split == "test"]
+    (out / "gt").mkdir()
+    for sample, _, mask in tests:
+        shutil.copyfile(out / "d64" / mask, out / "gt" / f"{sample}.pgm")
+    for name in TRAIN_CONFIGS:
+        for mode in ("classifier", "brn"):
+            masks = Path("masks") / f"{name}-{mode}"
+            (out / masks).mkdir(parents=True)
+            (out / "overlays" / name).mkdir(parents=True, exist_ok=True)
+            for sample, image, _ in tests:
+                args = ["segment", "--ckpt", f"{name}.bseg", "--image", f"d64/{image}",
+                        "--out", str(masks / f"{sample}.pgm")]
+                if mode == "brn":
+                    args += ["--mode", "brn", "--tau", "0.2"]
+                else:
+                    args += ["--overlay", f"overlays/{name}/{sample}.pgm"]
+                r.cli(*args)
+    r.cli("eval", "--pred", "masks/brn2-classifier", "--gt", "gt", "--compare", "gt",
+          "--report", "eval.tsv")
+    r.run("-c", REFERENCE_STEP)
+
+
+def differences(a: Path, b: Path) -> tuple[list[str], int]:
+    """Paths (relative) that differ between the trees, and files compared."""
+    names_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    names_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    diffs = [f"only in {a.name}: {n}" for n in sorted(names_a - names_b)]
+    diffs += [f"only in {b.name}: {n}" for n in sorted(names_b - names_a)]
+    for name in sorted(names_a & names_b):
+        if filecmp.cmp(a / name, b / name, shallow=False):
+            continue
+        if name.suffix == ".out":
+            da, db = (LATENCY.sub(b"", (t / name).read_bytes()) for t in (a, b))
+            if da == db:
+                continue
+        diffs.append(f"differs: {name}")
+    return diffs, len(names_a | names_b)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.strip().splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    trees = [Path(t).resolve() for t in argv]
+    for tree in trees:
+        if not (tree / "src" / "boundseg" / "__init__.py").is_file():
+            print(f"no boundseg sources under {tree}", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory(prefix="byte-identity-") as tmp:
+        outs = [Path(tmp) / side for side in ("parent", "child")]
+        for tree, out in zip(trees, outs):
+            recipe(tree, out)
+        diffs, count = differences(*outs)
+        failed = [cmd.read_text(encoding="utf-8").replace("\n", " ")
+                  for cmd in sorted((outs[0] / "runs").glob("*.cmd"))
+                  if not cmd.read_text(encoding="utf-8").endswith("exit 0\n")]
+    for line in failed:
+        print(f"non-zero exit in {trees[0].name}: {line[:160]}")
+    for line in diffs:
+        print(line)
+    print(f"{count} files compared, {len(diffs)} differ; "
+          f"{len(failed)} commands exited non-zero")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
