@@ -210,12 +210,10 @@ def evaluate(pred_manifest, gt_manifest, compare_manifest=None) -> EvalReport:
     if others is not None and set(others) != set(gts):
         raise ManifestMismatch("comparison manifest ids differ from ground truth")
 
-    order = [r.id for r in (gt_manifest if isinstance(gt_manifest, list)
-                            else read_manifest(gt_manifest))]
     rows = []
     other_rows = []
-    for sid in order:
-        gt_mask = read_pgm_mask(gts[sid].mask)
+    for sid, gt in gts.items():  # in the ground-truth manifest's order
+        gt_mask = read_pgm_mask(gt.mask)
         rows.append(_sample_row(sid, read_pgm_mask(preds[sid].mask), gt_mask))
         if others is not None:
             other_rows.append(_sample_row(sid, read_pgm_mask(others[sid].mask), gt_mask))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -131,10 +131,6 @@ class PipelineConfig:
         if h < 16 or w < 16:
             raise InvalidParams(f"input size {h}x{w} too small (need >= 16)")
 
-    def feature_size(self) -> tuple[int, int]:
-        h, w = self.input_size
-        return (math.ceil(h / DOWNSAMPLE_FACTOR), math.ceil(w / DOWNSAMPLE_FACTOR))
-
 
 @dataclass(frozen=True)
 class LossSchedule:
@@ -209,45 +205,31 @@ def shape_plan(config: PipelineConfig) -> dict:
 # ---------------------------------------------------------------------------
 # model assembly
 
-def _build_encoder(spec: EncoderSpec, rng, dtype, name: str) -> Sequential:
+def _conv_stack(c: int, widths, pools, dilations, rng, dtype) -> list[Layer]:
+    """3x3 conv + ReLU blocks from c channels; a pooled block halves the
+    resolution (ceil), a dilated one keeps it."""
     layers = []
-    c = spec.in_channels
-    for width, pool, dil in zip(spec.widths, spec.pools, spec.dilations):
-        layers.append(Conv2d(ConvSpec(c, width, (3, 3), padding=dil, dilation=dil),
-                             rng, dtype))
-        layers.append(ReLU())
+    for width, pool, dil in zip(widths, pools, dilations):
+        layers += [Conv2d(ConvSpec(c, width, (3, 3), padding=dil, dilation=dil), rng, dtype),
+                   ReLU()]
         if pool:
             layers.append(MaxPool2d(2, 2, ceil_mode=True))
         c = width
-    return Sequential(layers, name=name)
+    return layers
 
 
-def _build_head(in_channels: int, spec: HeadSpec, target: tuple[int, int], rng, dtype,
-                name: str) -> Sequential:
-    layers = [Conv2d(ConvSpec(in_channels, spec.project, (1, 1)), rng, dtype), ReLU()]
+def _head(c: int, spec: HeadSpec, out_channels: int, target: tuple[int, int], rng,
+          dtype) -> list[Layer]:
+    """1x1 projection, three stride-2 deconvs, 1x1 linear output, crop."""
+    layers = [Conv2d(ConvSpec(c, spec.project, (1, 1)), rng, dtype), ReLU()]
     c = spec.project
     for width in spec.deconv_widths:
-        layers.append(TransposedConv2d(
+        layers += [TransposedConv2d(
             DeconvSpec(c, width, (DECONV_KERNEL, DECONV_KERNEL), stride=2, padding=1),
-            rng, dtype))
-        layers.append(ReLU())
+            rng, dtype), ReLU()]
         c = width
-    layers.append(Conv2d(ConvSpec(c, spec.out_channels, (1, 1)), rng, dtype))
-    layers.append(_CropToInput(target))
-    return Sequential(layers, name=name)
-
-
-def _build_conv_classifier(spec: ClassifierSpec, rng, dtype, name: str) -> Sequential:
-    dilations = spec.dilations or tuple(1 for _ in spec.widths)
-    layers = []
-    c = 1
-    for width, dil in zip(spec.widths, dilations):
-        layers.append(Conv2d(ConvSpec(c, width, (3, 3), padding=dil, dilation=dil),
-                             rng, dtype))
-        layers.append(ReLU())
-        c = width
-    layers.append(Conv2d(ConvSpec(c, 2, (1, 1)), rng, dtype))
-    return Sequential(layers, name=name)
+    return layers + [Conv2d(ConvSpec(c, out_channels, (1, 1)), rng, dtype),
+                     _CropToInput(target)]
 
 
 class _CropToInput(Layer):
@@ -283,35 +265,25 @@ class SegmentationModel:
         self.config = config
         self.dtype = dtype
         rng = np.random.default_rng(seed)
-        self.encoder = _build_encoder(config.encoder, rng, dtype, "encoder")
-        self.head = _build_head(config.encoder.widths[-1], config.head,
-                                config.input_size, rng, dtype, "head")
-        if config.classifier.mirror:
-            cls_encoder = EncoderSpec(
-                in_channels=1,
-                widths=config.encoder.widths,
-                pools=config.encoder.pools,
-                dilations=config.encoder.dilations)
-            self.classifier = Sequential(
-                _build_encoder(cls_encoder, rng, dtype, "cls_enc").layers
-                + _build_head(config.encoder.widths[-1],
-                              HeadSpec(project=config.head.project,
-                                       deconv_widths=config.head.deconv_widths,
-                                       out_channels=2),
-                              config.input_size, rng, dtype, "cls_head").layers,
-                name="classifier")
+        enc, head, cls = config.encoder, config.head, config.classifier
+        self.encoder = Sequential(_conv_stack(enc.in_channels, enc.widths, enc.pools,
+                                              enc.dilations, rng, dtype), "encoder")
+        self.head = Sequential(_head(enc.widths[-1], head, head.out_channels,
+                                     config.input_size, rng, dtype), "head")
+        if cls.mirror:
+            layers = (_conv_stack(1, enc.widths, enc.pools, enc.dilations, rng, dtype)
+                      + _head(enc.widths[-1], head, 2, config.input_size, rng, dtype))
         else:
-            self.classifier = _build_conv_classifier(config.classifier, rng,
-                                                     dtype, "classifier")
+            n = len(cls.widths)
+            layers = _conv_stack(1, cls.widths, (False,) * n, cls.dilations or (1,) * n,
+                                 rng, dtype)
+            layers.append(Conv2d(ConvSpec((1, *cls.widths)[-1], 2, (1, 1)), rng, dtype))
+        self.classifier = Sequential(layers, "classifier")
 
     # -- parameters ---------------------------------------------------------
 
     def named_params(self) -> list[tuple[str, Param]]:
         return self.encoder.params() + self.head.params() + self.classifier.params()
-
-    def zero_grads(self) -> None:
-        for _, p in self.named_params():
-            p.grad = np.zeros_like(p.data)
 
     # -- forward / backward -------------------------------------------------
 
@@ -359,15 +331,40 @@ def pseudo_color(img: np.ndarray, dtype=np.float32) -> np.ndarray:
     return np.repeat(arr[:, None, :, :], 3, axis=1)
 
 
+class Objective(NamedTuple):
+    total: float
+    l2: float
+    ce: float
+    g_pred: np.ndarray | None    # lambda * d(l2)/d(pred)
+    g_logits: np.ndarray | None  # (1 - lambda) * d(ce)/d(logits)
+
+
+def objective(pred_dmap: np.ndarray, gt_dmap: np.ndarray | None,
+              logits: np.ndarray, gt_mask: np.ndarray, lam: float) -> Objective:
+    """lambda * l2(pred, gt map) + (1 - lambda) * softmax CE(logits, mask),
+    its two terms, and the cotangents `SegmentationModel.backward` takes.
+
+    A term whose weight is 0 is not evaluated: it reads 0.0 and its
+    cotangent is None, so `gt_dmap` may be None at lambda 0.  The
+    cotangents keep the dtype of the arrays (lambda is a Python float)."""
+    if not 0.0 <= lam <= 1.0:
+        raise InvalidParams(f"lambda {lam} outside [0, 1]")
+    l2 = ce = 0.0
+    g_pred = g_logits = None
+    if lam > 0.0:
+        l2 = ops.l2_loss(pred_dmap, gt_dmap)
+        g_pred = lam * ops.l2_loss_grad(pred_dmap, gt_dmap)
+    if lam < 1.0:
+        ce = ops.softmax_ce_loss(logits, gt_mask)
+        g_logits = (1.0 - lam) * ops.softmax_ce_grad(logits, gt_mask)
+    return Objective(lam * l2 + (1.0 - lam) * ce, l2, ce, g_pred, g_logits)
+
+
 def combined_loss(pred_dmap: np.ndarray, gt_dmap: np.ndarray,
                   logits: np.ndarray, gt_mask: np.ndarray,
                   lam: float) -> float:
-    """lambda * l2(pred, gt map) + (1 - lambda) * softmax CE(logits, mask)."""
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidParams(f"lambda {lam} outside [0, 1]")
-    l2 = ops.l2_loss(pred_dmap, gt_dmap) if lam > 0.0 else 0.0
-    ce = ops.softmax_ce_loss(logits, gt_mask) if lam < 1.0 else 0.0
-    return lam * l2 + (1.0 - lam) * ce
+    """The value of `objective`."""
+    return objective(pred_dmap, gt_dmap, logits, gt_mask, lam).total
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +398,7 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
           *, momentum: float = 0.9, batch_size: int = 8, seed: int = 0,
           checkpoint_path=None, log_path=None,
           ) -> tuple[SegmentationModel, list[EpochRecord]]:
-    """Seeded-shuffled minibatch SGD on the combined loss.
+    """Seeded-shuffled minibatch SGD on `objective`.
 
     Trains on the manifest's `train` split; the `test` split, when
     present, is scored (Dice) after every epoch for the log.  Ground
@@ -425,40 +422,29 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
     d_all = np.stack(dmaps)[:, None, :, :] if needs_dmaps else None
 
     params = [p for _, p in model.named_params()]
+    for p in params:  # sgd_step re-zeroes these in place after every batch
+        p.grad = np.zeros_like(p.data)
     rng = np.random.default_rng(seed)
     log: list[EpochRecord] = []
 
-    # sgd_step re-zeroes the buffers in place after every batch
-    model.zero_grads()
     for epoch in range(schedule.total_epochs):
         lam = lambdas[epoch]
         order = rng.permutation(n)
         l2_sum = ce_sum = 0.0
         for b, batch in enumerate(_batch_indices(n, batch_size)):
             idx = order[list(batch)]
-            x = x_all[idx]
-            pred, logits = model.forward(x)
-            g_pred = g_logits = None
-            l2 = ce = 0.0
-            if lam > 0.0:
-                gt = d_all[idx]
-                l2 = ops.l2_loss(pred, gt)
-                g_pred = (lam * ops.l2_loss_grad(pred, gt)).astype(dtype)
-                l2_sum += l2 * len(idx)
-            if lam < 1.0:
-                labels = m_all[idx]
-                ce = ops.softmax_ce_loss(logits, labels)
-                g_logits = ((1.0 - lam) * ops.softmax_ce_grad(logits, labels)
-                            ).astype(dtype)
-                ce_sum += ce * len(idx)
-            total = lam * l2 + (1.0 - lam) * ce
-            if not math.isfinite(total):
-                terms = ", ".join(f"{name} = {v}" for name, v in (("l2", l2), ("ce", ce))
+            pred, logits = model.forward(x_all[idx])
+            out = objective(pred, d_all[idx] if lam > 0.0 else None, logits, m_all[idx],
+                            lam)
+            if not math.isfinite(out.total):
+                terms = ", ".join(f"{k} = {v}" for k, v in (("l2", out.l2), ("ce", out.ce))
                                   if not math.isfinite(v))
                 raise DivergedTraining(
-                    f"non-finite loss {total} at epoch {epoch}, batch {b}: "
+                    f"non-finite loss {out.total} at epoch {epoch}, batch {b}: "
                     f"{terms or 'their weighted sum overflowed'}")
-            model.backward(g_pred, g_logits)
+            l2_sum += out.l2 * len(idx)
+            ce_sum += out.ce * len(idx)
+            model.backward(out.g_pred, out.g_logits)
             sgd_step(params, lr, momentum)
 
         val_dice = None
@@ -515,32 +501,25 @@ def read_training_log(path) -> list[EpochRecord]:
 # ---------------------------------------------------------------------------
 # inference
 
-def _as_model(model_or_path) -> SegmentationModel:
-    if isinstance(model_or_path, SegmentationModel):
-        return model_or_path
-    return load_model(model_or_path)
-
-
-def segment_batch(imgs: np.ndarray, model) -> np.ndarray:
+def segment_batch(imgs: np.ndarray, model: SegmentationModel) -> np.ndarray:
     """Segment a (k, h, w) stack; argmax over logits, ties -> background."""
-    model = _as_model(model)
     _, logits = model.forward(pseudo_color(imgs, model.dtype), keep=False)
     return (logits[:, 1] > logits[:, 0]).astype(np.uint8)
 
 
-def segment(img: np.ndarray, model) -> np.ndarray:
+def segment(img: np.ndarray, model: SegmentationModel) -> np.ndarray:
     """Per-pixel argmax over the two logit channels for one image."""
     if np.asarray(img).ndim != 2:
         raise ShapeMismatch(f"expected a single (h, w) image, got {np.asarray(img).shape}")
     return segment_batch(np.asarray(img)[None], model)[0]
 
 
-def predict_dmap(img: np.ndarray, model, raw: bool = False) -> np.ndarray:
+def predict_dmap(img: np.ndarray, model: SegmentationModel,
+                 raw: bool = False) -> np.ndarray:
     """Regression-head output for one image, clamped to [0, 1] unless
     `raw` asks for the unclamped values."""
     if np.asarray(img).ndim != 2:
         raise ShapeMismatch(f"expected a single (h, w) image, got {np.asarray(img).shape}")
-    model = _as_model(model)
     pred, _ = model.forward(pseudo_color(np.asarray(img)[None], model.dtype), keep=False)
     out = pred[0, 0]
     return out if raw else np.clip(out, 0.0, 1.0)
@@ -553,33 +532,25 @@ def _sidecar(path) -> Path:
     return Path(path).with_suffix(".json")
 
 
+def _from_dict(cls, d):
+    """The inverse of `asdict` on the config dataclasses: a field whose
+    default is a dataclass is read as one, and JSON lists become tuples."""
+    values = {}
+    for f in fields(cls):
+        v = d[f.name]
+        if is_dataclass(f.default):
+            v = _from_dict(type(f.default), v)
+        values[f.name] = tuple(v) if isinstance(v, list) else v
+    return cls(**values)
+
+
 def _read_sidecar(sidecar: Path) -> PipelineConfig:
     """The pipeline config in a JSON sidecar; malformed JSON, a missing
     key or a value of the wrong type is a data error, not a crash."""
     with opened(sidecar, "r", "config sidecar") as f:
         text = f.read()
     try:
-        d = json.loads(text)["config"]
-        enc = d["encoder"]
-        head = d["head"]
-        cls = d["classifier"]
-        return PipelineConfig(
-            input_size=tuple(d["input_size"]),
-            encoder=EncoderSpec(
-                in_channels=enc["in_channels"],
-                widths=tuple(enc["widths"]),
-                pools=tuple(enc["pools"]),
-                dilations=tuple(enc["dilations"])),
-            head=HeadSpec(
-                project=head["project"],
-                deconv_widths=tuple(head["deconv_widths"]),
-                out_channels=head["out_channels"]),
-            classifier=ClassifierSpec(
-                widths=tuple(cls["widths"]),
-                dilations=(None if cls["dilations"] is None
-                           else tuple(cls["dilations"])),
-                mirror=cls["mirror"]),
-        )
+        return _from_dict(PipelineConfig, json.loads(text)["config"])
     except (KeyError, TypeError, ValueError, InvalidParams) as e:
         raise IoFailure(
             f"malformed config sidecar {sidecar}: {type(e).__name__}: {e}") from e

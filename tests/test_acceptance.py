@@ -38,6 +38,7 @@ from boundseg.models import (
     brn_training_schedule,
     combined_loss,
     desk_config,
+    objective,
     predict_dmap,
     pseudo_color,
     reference_config,
@@ -190,9 +191,8 @@ def test_criterion_1_gradient_fidelity():
         return combined_loss(pr, gt_dmap, lo, gt_mask, lam)
 
     pr, lo = model.forward(xin)
-    model.zero_grads()
-    model.backward(lam * ops.l2_loss_grad(pr, gt_dmap),
-                   (1.0 - lam) * ops.softmax_ce_grad(lo, gt_mask))
+    out = objective(pr, gt_dmap, lo, gt_mask, lam)
+    model.backward(out.g_pred, out.g_logits)
     composed = 0.0
     for name, p in model.named_params():
         numeric, coords = numeric_gradient(composed_loss, p.data, step=1e-6,

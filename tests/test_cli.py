@@ -331,13 +331,17 @@ def test_segment_missing_checkpoint_is_data_error(dataset, tmp_path):
 
 
 SIDECAR_MUTATIONS = {
-    "missing_key": lambda c: c["head"].pop("project"),
-    "float_project": lambda c: c["head"].update(project=2.0),
-    "float_width": lambda c: c["encoder"].update(widths=[4, 4, 4.0, 4, 4]),
-    "bool_width": lambda c: c["classifier"].update(widths=[4, True]),
-    "float_input_size": lambda c: c.update(input_size=[64.0, 64]),
-    "string_mirror": lambda c: c["classifier"].update(mirror="no"),
-    "string_pool": lambda c: c["encoder"].update(pools=["no", "no", "no", False, False]),
+    "missing_key": lambda m: m["config"]["head"].pop("project"),
+    "float_project": lambda m: m["config"]["head"].update(project=2.0),
+    "float_width": lambda m: m["config"]["encoder"].update(widths=[4, 4, 4.0, 4, 4]),
+    "bool_width": lambda m: m["config"]["classifier"].update(widths=[4, True]),
+    "float_input_size": lambda m: m["config"].update(input_size=[64.0, 64]),
+    "string_mirror": lambda m: m["config"]["classifier"].update(mirror="no"),
+    "string_pool": lambda m: m["config"]["encoder"].update(
+        pools=["no", "no", "no", False, False]),
+    "scalar_encoder": lambda m: m["config"].update(encoder=3),
+    "scalar_input_size": lambda m: m["config"].update(input_size=64),
+    "null_config": lambda m: m.update(config=None),
 }
 
 
@@ -347,7 +351,7 @@ def test_segment_sidecar_missing_key_is_data_error(mutation, checkpoint, dataset
     ck = tmp_path / "model.bseg"
     shutil.copyfile(checkpoint, ck)
     meta = json.loads(checkpoint.with_suffix(".json").read_text())
-    SIDECAR_MUTATIONS[mutation](meta["config"])
+    SIDECAR_MUTATIONS[mutation](meta)
     ck.with_suffix(".json").write_text(json.dumps(meta))
     res = run_cli("segment", "--ckpt", ck,
                   "--image", dataset / "images" / "test_0000.pgm",

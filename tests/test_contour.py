@@ -19,12 +19,7 @@ from boundseg.contour import (
 )
 from boundseg.distmap import mask_to_distance_map
 from boundseg.errors import DegenerateContour, EmptyResult, OpenRegion
-
-
-def dice(a, b):
-    a = a.astype(bool)
-    b = b.astype(bool)
-    return 2.0 * (a & b).sum() / max(a.sum() + b.sum(), 1)
+from boundseg.metrics import dice
 
 
 def square_ring(h, w, lo, hi):

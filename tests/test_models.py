@@ -23,6 +23,7 @@ from boundseg.models import (
     combined_loss,
     desk_config,
     load_model,
+    objective,
     predict_dmap,
     pseudo_color,
     read_training_log,
@@ -198,6 +199,41 @@ def test_combined_loss_convex_combination_of_equal_losses():
     assert got == pytest.approx(0.5 * l2 + 0.5 * ce)
 
 
+@pytest.mark.parametrize("lam", [0.0, 0.5, 1.0])
+def test_objective_gates_terms_and_scales_cotangents(lam):
+    rng = np.random.default_rng(2)
+    pred = rng.random((2, 1, 8, 8), dtype=np.float32)
+    gt = rng.random((2, 1, 8, 8), dtype=np.float32)
+    logits = rng.standard_normal((2, 2, 8, 8), dtype=np.float32)
+    mask = rng.integers(0, 2, size=(2, 8, 8))
+    out = objective(pred, gt, logits, mask, lam)
+    assert out.l2 == (ops.l2_loss(pred, gt) if lam > 0.0 else 0.0)
+    assert out.ce == (ops.softmax_ce_loss(logits, mask) if lam < 1.0 else 0.0)
+    assert out.total == lam * out.l2 + (1.0 - lam) * out.ce
+    assert out.total == combined_loss(pred, gt, logits, mask, lam)
+    if lam > 0.0:
+        assert out.g_pred.dtype == np.float32
+        assert out.g_pred.tobytes() == (lam * ops.l2_loss_grad(pred, gt)).tobytes()
+    else:
+        assert out.g_pred is None
+    if lam < 1.0:
+        assert out.g_logits.dtype == np.float32
+        want = (1.0 - lam) * ops.softmax_ce_grad(logits, mask)
+        assert out.g_logits.tobytes() == want.tobytes()
+    else:
+        assert out.g_logits is None
+
+
+def test_objective_needs_no_distance_map_at_lambda_zero():
+    rng = np.random.default_rng(4)
+    pred = rng.random((1, 1, 8, 8))
+    logits = rng.standard_normal((1, 2, 8, 8))
+    mask = rng.integers(0, 2, size=(1, 8, 8))
+    out = objective(pred, None, logits, mask, 0.0)
+    assert out.l2 == 0.0 and out.g_pred is None
+    assert out.total == out.ce == ops.softmax_ce_loss(logits, mask)
+
+
 # ---------------------------------------------------------------------------
 # composed gradient check (tiny config, float64)
 
@@ -224,10 +260,8 @@ def test_composed_pipeline_gradcheck_vs_finite_differences():
 
     # analytic gradients
     pred, logits = model.forward(x)
-    model.zero_grads()
-    g_pred = lam * ops.l2_loss_grad(pred, gt_dmap)
-    g_logits = (1.0 - lam) * ops.softmax_ce_grad(logits, gt_mask)
-    model.backward(g_pred, g_logits)
+    out = objective(pred, gt_dmap, logits, gt_mask, lam)
+    model.backward(out.g_pred, out.g_logits)
 
     worst = 0.0
     rng_fd = np.random.default_rng(99)
@@ -366,7 +400,19 @@ def test_segment_loads_checkpoint_path(small_dataset, tmp_path):
     model, _ = train(small_dataset, cfg, LossSchedule(0.5, 0.5, 1),
                      lr=0.01, batch_size=2, seed=0, checkpoint_path=ck)
     img = np.random.default_rng(0).random((64, 64)).astype(np.float32)
-    assert np.array_equal(segment(img, ck), segment(img, model))
+    assert np.array_equal(segment(img, load_model(ck)), segment(img, model))
+
+
+@pytest.mark.parametrize("config", [
+    desk_config(),
+    reference_config(),
+    PipelineConfig(input_size=(24, 40),
+                   classifier=ClassifierSpec(widths=(4, 6, 2), dilations=(1, 2, 3))),
+], ids=["desk", "reference", "dilated_classifier"])
+def test_sidecar_round_trips_config(config, tmp_path):
+    ck = tmp_path / "m.bseg"
+    save_model(ck, SegmentationModel(config, seed=1))
+    assert load_model(ck).config == config
 
 
 def test_predict_dmap_clamped_and_raw():

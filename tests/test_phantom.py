@@ -8,6 +8,7 @@ import pytest
 
 from boundseg.errors import InvalidParams, ShapeMismatch
 from boundseg.imgio import read_fmap, read_pgm_image, read_pgm_mask
+from boundseg.metrics import dice
 from boundseg.phantom import (
     CORTEX_LEVEL,
     MAX_AREA_FRACTION,
@@ -24,14 +25,6 @@ from boundseg.phantom import (
     random_field,
     read_manifest,
 )
-
-
-def dice(a, b):
-    a = a.astype(bool)
-    b = b.astype(bool)
-    if not a.any() and not b.any():
-        return 1.0
-    return 2.0 * np.logical_and(a, b).sum() / (a.sum() + b.sum())
 
 
 # ---------------------------------------------------------------------------
