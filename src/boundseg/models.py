@@ -260,11 +260,15 @@ class _CropToInput(Layer):
 class SegmentationModel:
     """Encoder, regression head, and classifier with shared backprop."""
 
-    def __init__(self, config: PipelineConfig, seed: int = 0, dtype=np.float32):
-        check_seed(seed)
+    def __init__(self, config: PipelineConfig, seed: int | None = 0, dtype=np.float32):
+        """He-initialised from `seed`; seed None leaves the weights
+        uninitialised, for `load_model` to fill."""
+        rng = None
+        if seed is not None:
+            check_seed(seed)
+            rng = np.random.default_rng(seed)
         self.config = config
         self.dtype = dtype
-        rng = np.random.default_rng(seed)
         enc, head, cls = config.encoder, config.head, config.classifier
         self.encoder = Sequential(_conv_stack(enc.in_channels, enc.widths, enc.pools,
                                               enc.dilations, rng, dtype), "encoder")
@@ -566,18 +570,36 @@ def save_model(path, model: SegmentationModel) -> None:
 
 
 def load_model(path, dtype=np.float32) -> SegmentationModel:
-    """Rebuild a model from a checkpoint and its config sidecar."""
-    model = SegmentationModel(_read_sidecar(_sidecar(path)), seed=0, dtype=dtype)
-    arrays = ckpt.load_checkpoint(path)
-    for name, p in model.named_params():
-        if name not in arrays:
+    """Rebuild a model from a checkpoint and its config sidecar.
+
+    The model is not initialised: each record is read straight into its
+    parameter's buffer, through one record-sized float32 array when dtype
+    is not float32.  A missing, mis-sized or extra parameter is checked
+    after the whole file is read, so a file that is also malformed fails
+    on that first."""
+    model = SegmentationModel(_read_sidecar(_sidecar(path)), seed=None, dtype=dtype)
+    params = dict(model.named_params())
+    sizes: dict[str, int] = {}  # values in the last record of each name
+
+    def fill(name, shape, read):
+        sizes[name] = math.prod(shape)
+        p = params.get(name)
+        if p is None or sizes[name] != p.data.size:
+            return
+        if p.data.dtype == np.dtype("<f4"):
+            read(p.data)
+        else:
+            p.data[...] = read(np.empty(p.shape, dtype="<f4"))
+
+    ckpt.read_checkpoint(path, fill)
+    for name, p in params.items():
+        if name not in sizes:
             raise ShapeMismatch(f"checkpoint missing parameter {name!r}")
-        arr = arrays.pop(name)
-        if arr.size != p.data.size:
+        if sizes[name] != p.data.size:
             raise ShapeMismatch(
-                f"checkpoint parameter {name!r} has {arr.size} values, "
+                f"checkpoint parameter {name!r} has {sizes[name]} values, "
                 f"model expects {p.data.size}")
-        p.data = arr.reshape(p.data.shape).astype(dtype)
-    if arrays:
-        raise ShapeMismatch(f"checkpoint has extra parameters {sorted(arrays)}")
+    extra = sorted(set(sizes) - set(params))
+    if extra:
+        raise ShapeMismatch(f"checkpoint has extra parameters {extra}")
     return model

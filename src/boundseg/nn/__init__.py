@@ -7,7 +7,7 @@ backward pass against central finite differences, and `checkpoint`
 serializes parameters in the BSEG format.
 """
 
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, read_checkpoint, save_checkpoint
 from .gradcheck import GradCheckReport, grad_check, numeric_gradient, relative_error
 from .layers import (
     Conv2d,
@@ -65,4 +65,5 @@ __all__ = [
     "relative_error",
     "save_checkpoint",
     "load_checkpoint",
+    "read_checkpoint",
 ]

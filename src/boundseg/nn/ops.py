@@ -20,9 +20,13 @@ conv2d and the input gradient of transposed_conv2d_vjp; `_weight_grad`
 (g @ columns.T) is both weight gradients.  `_scatter`, the adjoint of
 `_gather`, computes weights.T @ g as (c, kh·kw, n, gh, gw), adds it tap by
 tap onto a zero grid and crops the padding: the input gradient of
-conv2d_vjp and the forward of transposed_conv2d.  The max-pool takes
-np.maximum over its tap slices, and its vjp walks the same taps in
-row-major order, routing gy to the first that holds the window max.
+conv2d_vjp and the forward of transposed_conv2d.  For a 1×1 kernel at
+stride 1 the one tap covers the grid, so the product plus 0.0 is the
+result, with no grid.  The max-pool takes np.maximum over its tap slices,
+and its vjp walks the same taps in row-major order, routing gy to the
+first that holds the window max.  `_pool_taps` clips each pool tap to the
+input: a trailing partial window of a ceil-mode pool reads only the taps
+that lie inside it, so no −inf-padded copy of the input is made.
 
 Chunks: the columns and the scatter product hold kh·kw copies of their
 input, so each is built one chunk at a time, along an axis its GEMM does
@@ -256,7 +260,9 @@ def _scatter(g: np.ndarray, w: np.ndarray, stride: int, dilation: int, p: int,
     """Adjoint of _gather: w (k, c, kh, kw) transposed times g (n, k, gh, gw),
     added tap by tap onto a zero (n, c) grid of size hw padded by p, then
     cropped to hw.  The product is computed one chunk of the c channels at a
-    time, and each chunk's taps are added into its channels of the grid."""
+    time, and each chunk's taps are added into its channels of the grid.  A
+    1×1 kernel at stride 1 has one tap, which covers the grid: its product
+    plus 0.0, C-contiguous, is the result."""
     n, k, gh, gw = g.shape
     _, c, kh, kw = w.shape
     h, wd = hw
@@ -264,6 +270,14 @@ def _scatter(g: np.ndarray, w: np.ndarray, stride: int, dilation: int, p: int,
     wt = w.reshape(k, -1).T
     gcf = _channels_first(g)
     prod_type = np.result_type(w, g)
+    if _pointwise((kh, kw), stride):
+        prod = np.matmul(wt, gcf, out=_gemm_matrix(c, n * gh * gw, prod_type))
+        grid = prod.reshape(c, n, gh, gw).transpose(1, 0, 2, 3)[:, :, p : p + h, p : p + wd]
+        # + 0.0, as when added onto the zero grid, turns every -0.0 into +0.0
+        if grid.flags.c_contiguous and grid.dtype == dtype:
+            grid += 0.0
+            return grid
+        return np.add(grid, 0.0, out=np.empty((n, c, h, wd), dtype=dtype))
     full = np.zeros((n, c, h + 2 * p, wd + 2 * p), dtype=dtype)
     for c0, c1 in _spans((kh, kw), stride, c, kk * gcf.shape[1] * prod_type.itemsize,
                          gcf.nbytes):
@@ -339,8 +353,9 @@ def transposed_conv2d_vjp(x: np.ndarray, spec: DeconvSpec, w: np.ndarray, gy: np
     return gx, gw.reshape(w.shape), gb
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0)
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), into `out` when given (out=x overwrites x)."""
+    return np.maximum(x, 0, out=out)
 
 
 def relu_vjp(x: np.ndarray, gy: np.ndarray) -> np.ndarray:
@@ -363,40 +378,39 @@ def _pool_geometry(h: int, w: int, window: int, stride: int, ceil_mode: bool):
     if window > h or window > w:
         raise ShapeMismatch(f"pool window {window} exceeds spatial extent {h}x{w}")
     if ceil_mode:
-        oh = math.ceil((h - window) / stride) + 1
-        ow = math.ceil((w - window) / stride) + 1
-    else:
-        oh = (h - window) // stride + 1
-        ow = (w - window) // stride + 1
-    pad_h = max(0, (oh - 1) * stride + window - h)
-    pad_w = max(0, (ow - 1) * stride + window - w)
-    return oh, ow, pad_h, pad_w
+        return math.ceil((h - window) / stride) + 1, math.ceil((w - window) / stride) + 1
+    return (h - window) // stride + 1, (w - window) // stride + 1
 
 
 def _pool_taps(x: np.ndarray, window: int, stride: int, ceil_mode: bool):
-    """(-inf padded input, its taps in row-major order, output shape)."""
+    """(output shape, the taps in row-major order).  Tap (i, j) is the pair
+    (index into x, index into the output) of the windows whose tap (i, j)
+    lies inside x: a window that overhangs the bottom or right edge skips
+    the taps outside it, where a padded input would hold -inf."""
     _check_4d(x, "maxpool2d input")
-    oh, ow, pad_h, pad_w = _pool_geometry(x.shape[2], x.shape[3], window, stride, ceil_mode)
-    xp = x
-    if pad_h or pad_w:
-        n, c, h, w = x.shape
-        xp = np.full((n, c, h + pad_h, w + pad_w), -np.inf, dtype=x.dtype)
-        xp[:, :, :h, :w] = x
-    taps = [_tap(i, j, stride, oh, ow) for i in range(window) for j in range(window)]
-    return xp, taps, x.shape[:2] + (oh, ow)
+    h, w = x.shape[2:]
+    oh, ow = _pool_geometry(h, w, window, stride, ceil_mode)
+    taps = []
+    for i in range(window):
+        rows = min(oh, -(-(h - i) // stride))  # windows whose row i is inside x
+        for j in range(window):
+            cols = min(ow, -(-(w - j) // stride))
+            taps.append((_tap(i, j, stride, rows, cols),
+                         (slice(None), slice(None), slice(rows), slice(cols))))
+    return x.shape[:2] + (oh, ow), taps
 
 
-def _pool_max(xp: np.ndarray, taps) -> np.ndarray:
-    y = xp[taps[0]].copy()
-    for t in taps[1:]:
-        np.maximum(y, xp[t], out=y)
+def _pool_max(x: np.ndarray, out_shape, taps) -> np.ndarray:
+    """-inf where a window lies wholly outside x (no tap reads it)."""
+    y = np.full(out_shape, -np.inf, dtype=x.dtype)
+    for t, o in taps:
+        np.maximum(y[o], x[t], out=y[o])
     return y
 
 
 def maxpool2d(x: np.ndarray, window: int, stride: int, ceil_mode: bool = False) -> np.ndarray:
     """Per-window maxima.  ceil_mode lets a trailing partial window count."""
-    xp, taps, _ = _pool_taps(x, window, stride, ceil_mode)
-    return _pool_max(xp, taps)
+    return _pool_max(x, *_pool_taps(x, window, stride, ceil_mode))
 
 
 def maxpool2d_vjp(x: np.ndarray, window: int, stride: int, gy: np.ndarray,
@@ -404,21 +418,22 @@ def maxpool2d_vjp(x: np.ndarray, window: int, stride: int, gy: np.ndarray,
     """Route gy to the argmax of each window (first in row-major order on ties).
 
     y is maxpool2d(x, ...) when the caller kept it; None recomputes it."""
-    xp, taps, out_shape = _pool_taps(x, window, stride, ceil_mode)
+    out_shape, taps = _pool_taps(x, window, stride, ceil_mode)
     if gy.shape != out_shape:
         raise ShapeMismatch(f"maxpool2d gy {gy.shape} != {out_shape}")
     if y is None:
-        y = _pool_max(xp, taps)
+        y = _pool_max(x, out_shape, taps)
     elif y.shape != out_shape:
         raise ShapeMismatch(f"maxpool2d y {y.shape} != {out_shape}")
-    gxp = np.zeros_like(xp)
+    gx = np.zeros(x.shape, dtype=x.dtype)
     todo = np.ones(out_shape, dtype=bool)  # windows whose gy is not yet routed
-    for t in taps:
-        hit = xp[t] == y
-        hit &= todo
-        todo ^= hit
-        gxp[t] += gy * hit
-    return gxp[:, :, : x.shape[2], : x.shape[3]]
+    for t, o in taps:
+        hit = x[t] == y[o]
+        pending = todo[o]
+        hit &= pending
+        pending ^= hit
+        gx[t] += gy[o] * hit
+    return gx
 
 
 def l2_loss(pred: np.ndarray, target: np.ndarray) -> float:

@@ -1,10 +1,11 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from boundseg.errors import BadMagic, MalformedHeader, TruncatedData
-from boundseg.nn import load_checkpoint, save_checkpoint
+from boundseg.errors import BadMagic, MalformedHeader, ShapeMismatch, TruncatedData
+from boundseg.nn import load_checkpoint, read_checkpoint, save_checkpoint
 
 
 def test_roundtrip_bit_exact(tmp_path):
@@ -86,3 +87,44 @@ def test_shape_product_past_int64_is_truncated_data(tmp_path):
 def test_rejects_five_dim_arrays(tmp_path):
     with pytest.raises(MalformedHeader):
         save_checkpoint(tmp_path / "m.bseg", [("w", np.zeros((1, 1, 1, 1, 1), np.float32))])
+
+
+def test_huge_promised_shape_is_truncated_data_without_allocating(tmp_path):
+    # 1024**3 float32 values are 4 GiB; the file holds 8 bytes of data
+    p = tmp_path / "x.bseg"
+    p.write_bytes(_one_record_header(b"w", (1024, 1024, 1024, 1)) + bytes(8))
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedData):
+            load_checkpoint(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
+def test_read_checkpoint_streams_records_in_file_order(tmp_path):
+    p = tmp_path / "m.bseg"
+    arrays = [("a", np.arange(6, dtype=np.float32).reshape(2, 3)),
+              ("b", np.full(4, -0.0, dtype=np.float32)),
+              ("c", np.float32([np.nan, np.inf]))]
+    save_checkpoint(p, arrays)
+    seen, filled = [], {}
+
+    def visit(name, shape, read):
+        seen.append((name, shape))
+        if name != "b":  # skipped: the next record must still be read right
+            filled[name] = read(np.empty(shape, dtype=np.float32))
+
+    read_checkpoint(p, visit)
+    assert seen == [("a", (2, 3, 1, 1)), ("b", (4, 1, 1, 1)), ("c", (2, 1, 1, 1))]
+    for name, arr in arrays:
+        if name != "b":
+            assert filled[name].tobytes() == arr.tobytes()
+
+
+def test_read_checkpoint_refuses_a_buffer_of_the_wrong_size(tmp_path):
+    p = tmp_path / "m.bseg"
+    save_checkpoint(p, [("w", np.ones(3, dtype=np.float32))])
+    with pytest.raises(ShapeMismatch):
+        read_checkpoint(p, lambda name, shape, read: read(np.empty(4, np.float32)))

@@ -1,6 +1,7 @@
 """What the layers hold: each activation once, only until the backward
-that needs it has run, and nothing after an inference forward; and what
-the conv gradients allocate while they run."""
+that needs it has run, and nothing after an inference forward; what the
+conv and pool ops allocate while they run; and what loading a model
+allocates."""
 
 import tracemalloc
 
@@ -15,8 +16,10 @@ from boundseg.models import (
     PipelineConfig,
     SegmentationModel,
     desk_config,
+    load_model,
     predict_dmap,
     pseudo_color,
+    save_model,
     segment_batch,
 )
 from boundseg.nn import (
@@ -29,6 +32,8 @@ from boundseg.nn import (
     Sequential,
     TransposedConv2d,
     conv2d_vjp,
+    maxpool2d,
+    maxpool2d_vjp,
     ops,
     relu,
     relu_vjp,
@@ -217,3 +222,87 @@ def test_conv_vjp_peaks_within_inputs_outputs_and_two_chunks(vjp, spec, hw):
         tracemalloc.stop()
     bound = sum(a.nbytes for a in (x, w, gy, *grads)) + 2 * chunk
     assert peak <= bound, (peak / 1e6, bound / 1e6)
+
+
+MIB = 1 << 20
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn's result, the peak of what it allocated)."""
+    tracemalloc.start()
+    try:
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_pointwise_conv_vjp_allocates_only_its_outputs():
+    """The head's 32 -> 1 1×1 conv at 328²: the input gradient is the
+    scatter product itself, with no zero grid to add it onto."""
+    rng = np.random.default_rng(7)
+    spec = ConvSpec(32, 1, (1, 1))
+    x = rng.standard_normal((1, 32, 328, 328), dtype=np.float32)
+    w = rng.standard_normal(spec.weight_shape(), dtype=np.float32)
+    gy = rng.standard_normal((1, 1, 328, 328), dtype=np.float32)
+    grads, peak = traced_peak(conv2d_vjp, x, spec, w, gy)
+    assert grads[0].flags.c_contiguous and grads[0].shape == x.shape
+    bound = sum(g.nbytes for g in grads) + MIB
+    assert peak <= bound, (peak / 1e6, bound / 1e6)
+
+
+def odd_pool_input():
+    """161 -> 81 in ceil mode: the last window row and column overhang the
+    input, and are read through clipped taps."""
+    return np.random.default_rng(8).standard_normal((1, 32, 161, 161), dtype=np.float32)
+
+
+def test_pool_makes_no_padded_copy():
+    y, peak = traced_peak(maxpool2d, odd_pool_input(), 2, 2, ceil_mode=True)
+    assert y.shape == (1, 32, 81, 81)
+    assert peak <= y.nbytes + MIB, (peak / 1e6, y.nbytes / 1e6)
+
+
+def test_pool_vjp_makes_no_padded_copy():
+    x = odd_pool_input()
+    y = maxpool2d(x, 2, 2, ceil_mode=True)
+    gy = np.random.default_rng(9).standard_normal(y.shape, dtype=np.float32)
+    for kept in (y, None):
+        gx, peak = traced_peak(maxpool2d_vjp, x, 2, 2, gy, True, y=kept)
+        bound = gx.nbytes + (gy.nbytes if kept is not None else 2 * gy.nbytes) + MIB
+        assert peak <= bound, (peak / 1e6, bound / 1e6)
+
+
+def test_relu_overwrites_its_input_at_inference_only():
+    x = np.random.default_rng(9).standard_normal((1, 2, 5, 5)).astype(np.float32)
+    expected = relu(x)
+    before = x.copy()
+    y = ReLU().forward(x)
+    assert not np.shares_memory(y, x) and x.tobytes() == before.tobytes()
+    assert y.tobytes() == expected.tobytes()
+    y = ReLU().forward(x, keep=False)
+    assert np.shares_memory(y, x) and y.tobytes() == expected.tobytes()
+
+
+def wide_config() -> PipelineConfig:
+    return PipelineConfig(
+        input_size=(32, 32),
+        encoder=EncoderSpec(widths=(32, 64, 128, 256, 256)),
+        head=HeadSpec(project=64, deconv_widths=(32, 16, 16)),
+        classifier=ClassifierSpec(mirror=True))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_load_model_holds_the_parameters_once(tmp_path, dtype):
+    """Each record is read into its parameter's own buffer: no He-init to
+    overwrite, no whole-file blob, no per-record copies."""
+    ck = tmp_path / "wide.bseg"
+    saved = SegmentationModel(wide_config(), seed=4)
+    save_model(ck, saved)
+    model, peak = traced_peak(load_model, ck, dtype=dtype)
+    sizes = [p.data.nbytes for _, p in model.named_params()]
+    assert sum(sizes) >= 5e6 * np.dtype(dtype).itemsize / 4
+    bound = sum(sizes) + max(sizes) + MIB
+    assert peak <= bound, (peak / 1e6, bound / 1e6)
+    for (_, a), (_, b) in zip(saved.named_params(), model.named_params()):
+        assert a.data.astype(dtype).tobytes() == b.data.tobytes()

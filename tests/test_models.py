@@ -11,6 +11,7 @@ from boundseg.errors import (
     InvalidParams,
     IoFailure,
     ShapeMismatch,
+    TruncatedData,
 )
 from boundseg.models import (
     ClassifierSpec,
@@ -35,7 +36,7 @@ from boundseg.models import (
     train,
     write_training_log,
 )
-from boundseg.nn import numeric_gradient, relative_error, ops
+from boundseg.nn import load_checkpoint, numeric_gradient, ops, relative_error, save_checkpoint
 from boundseg.phantom import make_dataset, read_manifest
 
 
@@ -452,3 +453,39 @@ def test_load_model_rejects_mismatched_checkpoint(tmp_path):
     ck.with_suffix(".json").write_text(json.dumps(meta))
     with pytest.raises(ShapeMismatch):
         load_model(ck)
+
+
+RECORD_EDITS = {
+    "missing": (lambda recs: recs[1:], "missing parameter 'encoder.0.w'"),
+    "resized": (lambda recs: [(recs[0][0], recs[0][1][:1])] + recs[1:],
+                "'encoder.0.w' has 27 values, model expects 108"),
+    "extra": (lambda recs: recs + [("stray", np.ones(2, np.float32))],
+              r"extra parameters \['stray'\]"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(RECORD_EDITS))
+def test_load_model_checks_every_record(tmp_path, edit):
+    ck = tmp_path / "m.bseg"
+    save_model(ck, SegmentationModel(tiny_config(), seed=0))
+    change, message = RECORD_EDITS[edit]
+    save_checkpoint(ck, change(list(load_checkpoint(ck).items())))
+    with pytest.raises(ShapeMismatch, match=message):
+        load_model(ck)
+    # a malformed file fails on that first, as when it was read whole
+    ck.write_bytes(ck.read_bytes()[:-2])
+    with pytest.raises(TruncatedData):
+        load_model(ck)
+
+
+def test_load_model_reads_records_in_any_order(tmp_path):
+    model = SegmentationModel(tiny_config(), seed=2)
+    ck = tmp_path / "m.bseg"
+    save_model(ck, model)
+    records = list(load_checkpoint(ck).items())
+    first = records[0]
+    stale = (first[0], np.zeros_like(first[1]))
+    save_checkpoint(ck, [stale] + records[::-1])  # the last record of a name wins
+    loaded = load_model(ck)
+    for (_, a), (_, b) in zip(model.named_params(), loaded.named_params()):
+        assert a.data.tobytes() == b.data.tobytes()

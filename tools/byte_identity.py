@@ -18,7 +18,11 @@ checkout's `src`, this runs the same recipe in a fresh directory:
   epochs the desk models' classifier masks are empty, and `eval` stops at
   an empty mask);
 - one `reference_config()` SGD step (321², batch 1, lr 0.01, seed 7),
-  with its checkpoint saved.
+  with its checkpoint saved;
+- `segment` of that dataset's 321² test image with the reference
+  checkpoint, in classifier mode, so the checkpoint is loaded at full
+  scale and the odd pool sizes (321 -> 161 -> 81 -> 41, each with a
+  partial last window) run forward.
 
 Every file written and every command's exit code, stdout and stderr are
 kept.  The two output trees are then compared file by file; only the
@@ -118,6 +122,12 @@ def recipe(tree: Path, out: Path) -> None:
     r.cli("eval", "--pred", "masks/brn2-classifier", "--gt", "gt", "--compare", "gt",
           "--report", "eval.tsv")
     r.run("-c", REFERENCE_STEP)
+    ref_rows = [line.split("\t") for line in
+                (out / "ref" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+                if not line.startswith("#")]
+    (image,) = [image for _, image, _, _, split in ref_rows if split == "test"]
+    r.cli("segment", "--ckpt", "ref/step.bseg", "--image", f"ref/{image}",
+          "--out", "ref/segment.pgm")
 
 
 def differences(a: Path, b: Path) -> tuple[list[str], int]:
