@@ -6,6 +6,25 @@ minimum spanning tree of the largest component, walk its maximum-weight
 path, close that path with a straight segment and flood-fill the
 interior.  Everything is deterministic: vertices are kept in row-major
 order and all ties break lexicographically.
+
+Each stage costs in proportion to the band or the curve, not the frame:
+
+- Thinning reads each pixel's eight neighbours P2..P9 as one 8-bit code
+  and looks it up in a 256-entry table per Zhang-Suen sub-iteration,
+  built from the rule written once in `_zhang_suen_deletes`.  Only the
+  foreground pixels with a background neighbour are evaluated: code 255
+  (eight foreground neighbours) is never deleted.  After a parallel
+  sub-iteration the next candidates are the survivors plus the
+  foreground neighbours of the deleted pixels, the only pixels that
+  gained a background neighbour.
+- Pruning of staircase pixels is one more table over the same codes.
+  Its row-major passes are sequential (each pixel sees the deletions
+  made earlier in the pass), but a pass visits only the pixels that had
+  at least three neighbours when it began: deletions only lower a count,
+  so no other pixel could qualify.
+- The graph looks up a grid of vertex indices at each link offset.
+- The fill labels the complement of the closed curve once, 4-connected,
+  and keeps every label that does not touch the frame border.
 """
 
 from __future__ import annotations
@@ -67,108 +86,138 @@ def binarize(dmap: np.ndarray, tau: float) -> np.ndarray:
     return out
 
 
-def _neighbor_rings(g: np.ndarray):
-    """The eight neighbor planes P2..P9 (clockwise from north) of a padded grid."""
-    p = np.pad(g, 1).astype(np.uint8)
-    return (
-        p[:-2, 1:-1],   # P2 north
-        p[:-2, 2:],     # P3 north-east
-        p[1:-1, 2:],    # P4 east
-        p[2:, 2:],      # P5 south-east
-        p[2:, 1:-1],    # P6 south
-        p[2:, :-2],     # P7 south-west
-        p[1:-1, :-2],   # P8 west
-        p[:-2, :-2],    # P9 north-west
-    )
-
-
+# Neighbour k of a pixel, P2..P9 clockwise from north, sets bit k of the
+# pixel's 8-bit neighbour code.
 _RING_OFFSETS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
 
 
-def _prune_redundant(g: np.ndarray) -> np.ndarray:
-    """Drop staircase leftovers: pixels with >= 3 neighbors whose removal
-    keeps the local neighborhood a single 8-connected piece.
+def _zhang_suen_deletes(code: int, step: int) -> bool:
+    """The Zhang-Suen rule for a foreground pixel in sub-iteration `step`:
+    2 <= B <= 6 neighbours, A == 1 background-to-foreground transition
+    around the ring, and the step's two products of P2, P4, P6, P8 zero."""
+    ring = [(code >> k) & 1 for k in range(8)]
+    p2, _, p4, _, p6, _, p8, _ = ring
+    b = sum(ring)
+    a = sum(ring[k] == 0 and ring[(k + 1) % 8] == 1 for k in range(8))
+    if step == 0:
+        products = p2 * p4 * p6 == 0 and p4 * p6 * p8 == 0
+    else:
+        products = p2 * p4 * p8 == 0 and p2 * p6 * p8 == 0
+    return 2 <= b <= 6 and a == 1 and products
+
+
+def _is_staircase(code: int) -> bool:
+    """At least three neighbours, which form one 8-connected piece among
+    themselves: the pixel between them is redundant."""
+    nbrs = [off for k, off in enumerate(_RING_OFFSETS) if (code >> k) & 1]
+    if len(nbrs) < 3:
+        return False
+    seen, todo = {nbrs[0]}, [nbrs[0]]
+    while todo:
+        a = todo.pop()
+        for b in nbrs:
+            if b not in seen and max(abs(a[0] - b[0]), abs(a[1] - b[1])) == 1:
+                seen.add(b)
+                todo.append(b)
+    return len(seen) == len(nbrs)
+
+
+_THIN_DELETES = tuple(np.array([_zhang_suen_deletes(c, step) for c in range(256)])
+                      for step in (0, 1))
+_STAIRCASE = np.array([_is_staircase(c) for c in range(256)])
+_NEIGHBOR_COUNT = np.array([bin(c).count("1") for c in range(256)])
+
+
+def _codes(flat: np.ndarray, idx: np.ndarray, offsets) -> np.ndarray:
+    """Neighbour codes of the pixels at flat indices idx of a padded grid."""
+    code = np.zeros(np.shape(idx), dtype=np.uint8)
+    for k, off in enumerate(offsets):
+        code |= flat[idx + off] << k
+    return code
+
+
+def _prune_redundant(flat: np.ndarray, offsets) -> None:
+    """Drop staircase leftovers, in place, in row-major passes until a pass
+    drops nothing.
 
     Zhang-Suen occasionally parks an extra pixel on the inside of a
     corner; curve pixels proper have two non-adjacent neighbors and are
-    never touched, nor are endpoints.
+    never touched, nor are endpoints.  A pass decides pixel by pixel, on
+    the grid as the pass has left it so far, so its visits stay sequential.
+    It visits only the pixels with at least three neighbours when it
+    begins: counts only fall, so no other pixel can be a staircase.
     """
-    h, w = g.shape
+    fg = np.flatnonzero(flat)
     changed = True
     while changed:
         changed = False
-        for y, x in np.argwhere(g):
-            nbrs = [
-                (dy, dx)
-                for dy, dx in _RING_OFFSETS
-                if 0 <= y + dy < h and 0 <= x + dx < w and g[y + dy, x + dx]
-            ]
-            if len(nbrs) < 3:
-                continue
-            # component count among the neighbors themselves
-            comp = {n: i for i, n in enumerate(nbrs)}
-            for i, a in enumerate(nbrs):
-                for b in nbrs[i + 1 :]:
-                    if max(abs(a[0] - b[0]), abs(a[1] - b[1])) == 1:
-                        ra, rb = comp[a], comp[b]
-                        if ra != rb:
-                            for k in comp:
-                                if comp[k] == rb:
-                                    comp[k] = ra
-            if len(set(comp.values())) == 1:
-                g[y, x] = False
+        fg = fg[flat[fg] == 1]
+        visit = fg[_NEIGHBOR_COUNT[_codes(flat, fg, offsets)] >= 3]
+        for i in visit.tolist():
+            if _STAIRCASE[_codes(flat, i, offsets)]:
+                flat[i] = 0
                 changed = True
-    return g
 
 
 def thin(grid: np.ndarray) -> np.ndarray:
     """Zhang-Suen thinning to a 1-pixel-wide, topology-preserving skeleton."""
-    g = np.asarray(grid).astype(bool).copy()
-    while True:
+    g = np.asarray(grid)
+    h, w = g.shape
+    padded = np.zeros((h + 2, w + 2), dtype=np.uint8)
+    padded[1:-1, 1:-1] = g.astype(bool, copy=False)
+    flat = padded.ravel()
+    offsets = [dy * (w + 2) + dx for dy, dx in _RING_OFFSETS]
+    fg = np.flatnonzero(flat)
+    # only a pixel with a background neighbour (code < 255) can go, and
+    # only the neighbours of a deleted pixel gain one
+    cand = fg[_codes(flat, fg, offsets) != 255]
+    changed = True
+    while changed:
         changed = False
-        for step in (0, 1):
-            p2, p3, p4, p5, p6, p7, p8, p9 = _neighbor_rings(g)
-            ring = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
-            b = sum(ring[:8], np.zeros_like(p2, dtype=np.int32))
-            a = sum(((ring[k] == 0) & (ring[k + 1] == 1)) for k in range(8))
-            cond = g & (b >= 2) & (b <= 6) & (a == 1)
-            if step == 0:
-                cond &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
-            else:
-                cond &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
-            if cond.any():
-                g[cond] = False
+        for deletes in _THIN_DELETES:
+            dead = deletes[_codes(flat, cand, offsets)]
+            if dead.any():
+                gone = cand[dead]
+                flat[gone] = 0
+                nbrs = np.add.outer(gone, offsets).ravel()
+                cand = np.union1d(cand[~dead], nbrs[flat[nbrs] == 1])
                 changed = True
-        if not changed:
-            return _prune_redundant(g)
+    _prune_redundant(flat, offsets)
+    return padded[1:-1, 1:-1].astype(bool)
 
 
 def build_graph(pixels: np.ndarray, link_radius: float) -> PixelGraph:
     """Link every pixel pair within Euclidean distance link_radius.
 
     `pixels` is a boolean grid; vertices come out in row-major order,
-    edge weight is the pixel distance.
+    edge weight is the pixel distance.  Edges come out by their first
+    vertex, then in the order of the link offsets below.
     """
-    coords = np.argwhere(np.asarray(pixels))
-    vertices = [tuple(int(c) for c in row) for row in coords]
-    index = {v: i for i, v in enumerate(vertices)}
+    grid = np.asarray(pixels)
+    coords = np.argwhere(grid)
+    vertices = list(map(tuple, coords.tolist()))
 
-    r = int(np.floor(link_radius))
+    r = max(int(np.floor(link_radius)), 0)
     offsets = []
     for dy in range(0, r + 1):
         for dx in range(-r, r + 1):
             if dy == 0 and dx <= 0:
-                continue  # each unordered pair once
+                continue  # each unordered pair once; the other pixel comes later
             d = np.hypot(dy, dx)
             if d <= link_radius:
                 offsets.append((dy, dx, float(d)))
 
-    edges = []
-    for i, (y, x) in enumerate(vertices):
-        for dy, dx, d in offsets:
-            j = index.get((y + dy, x + dx))
-            if j is not None:
-                edges.append((d, min(i, j), max(i, j)))
+    # vertex index of each pixel, -1 off the pixels, with r columns of
+    # margin either side and r rows below so every offset stays inside
+    h, w = grid.shape
+    index = np.full((h + r, w + 2 * r), -1, dtype=np.intp)
+    ys, xs = coords[:, 0], coords[:, 1] + r
+    index[ys, xs] = np.arange(len(coords))
+    steps = np.array([o[:2] for o in offsets], dtype=np.intp).reshape(-1, 2)
+    weights = np.array([o[2] for o in offsets])
+    nbr = index[np.add.outer(ys, steps[:, 0]), np.add.outer(xs, steps[:, 1])]
+    i, k = np.nonzero(nbr >= 0)
+    edges = list(zip(weights[k].tolist(), i.tolist(), nbr[i, k].tolist()))
     return PixelGraph(vertices=vertices, edges=edges)
 
 
@@ -285,8 +334,9 @@ def bresenham(p: tuple[int, int], q: tuple[int, int]) -> list[tuple[int, int]]:
 def close_and_fill(path: list[tuple[int, int]], shape: tuple[int, int]) -> np.ndarray:
     """Join the path's endpoints, rasterize the closed curve, and fill.
 
-    The exterior is found by a 4-connected flood from the frame border;
-    the mask is everything else (curve plus interior).
+    The exterior is every 4-connected piece of the complement that
+    touches the frame border; the mask is everything else (curve plus
+    interior).
     """
     if len(path) < MIN_PATH_VERTICES:
         raise DegenerateContour(
@@ -300,7 +350,13 @@ def close_and_fill(path: list[tuple[int, int]], shape: tuple[int, int]) -> np.nd
                 raise OpenRegion(f"contour pixel ({y}, {x}) outside frame {h}x{w}")
             curve[y, x] = True
 
-    mask = ndimage.binary_fill_holes(curve)
+    # 4-connected pieces of the complement; label 0 marks the curve
+    labels, count = ndimage.label(~curve)
+    exterior = np.zeros(count + 1, dtype=bool)
+    exterior[labels[[0, -1], :]] = True
+    exterior[labels[:, [0, -1]]] = True
+    exterior[0] = False
+    mask = ~exterior[labels]
     if not (mask & ~curve).any():
         raise OpenRegion("closed curve encloses no interior")
     return mask.astype(np.uint8)

@@ -377,9 +377,15 @@ def _pool_geometry(h: int, w: int, window: int, stride: int, ceil_mode: bool):
         raise ShapeMismatch(f"bad pool window={window} stride={stride}")
     if window > h or window > w:
         raise ShapeMismatch(f"pool window {window} exceeds spatial extent {h}x{w}")
-    if ceil_mode:
-        return math.ceil((h - window) / stride) + 1, math.ceil((w - window) / stride) + 1
-    return (h - window) // stride + 1, (w - window) // stride + 1
+    if not ceil_mode:
+        return (h - window) // stride + 1, (w - window) // stride + 1
+
+    def ceil_size(n: int) -> int:
+        # a trailing window that would start at or past the edge is dropped
+        o = math.ceil((n - window) / stride) + 1
+        return o - 1 if (o - 1) * stride >= n else o
+
+    return ceil_size(h), ceil_size(w)
 
 
 def _pool_taps(x: np.ndarray, window: int, stride: int, ceil_mode: bool):
@@ -401,7 +407,9 @@ def _pool_taps(x: np.ndarray, window: int, stride: int, ceil_mode: bool):
 
 
 def _pool_max(x: np.ndarray, out_shape, taps) -> np.ndarray:
-    """-inf where a window lies wholly outside x (no tap reads it)."""
+    """The maximum of each window's taps inside x.  Every window has at
+    least its first tap there: ceil mode drops a window that would start
+    past the edge."""
     y = np.full(out_shape, -np.inf, dtype=x.dtype)
     for t, o in taps:
         np.maximum(y[o], x[t], out=y[o])

@@ -3,6 +3,9 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from boundseg import contour
 from boundseg.contour import (
@@ -18,8 +21,9 @@ from boundseg.contour import (
     thin,
 )
 from boundseg.distmap import mask_to_distance_map
-from boundseg.errors import DegenerateContour, EmptyResult, OpenRegion
+from boundseg.errors import BoundsegError, DegenerateContour, EmptyResult, OpenRegion
 from boundseg.metrics import dice
+from boundseg.phantom import generate_sample
 
 
 def square_ring(h, w, lo, hi):
@@ -35,6 +39,134 @@ def square_ring(h, w, lo, hi):
 def disk_mask(h, w, cy, cx, r):
     ii, jj = np.mgrid[0:h, 0:w]
     return (((ii - cy) ** 2 + (jj - cx) ** 2) <= r * r).astype(np.uint8)
+
+
+# --- oracles: the whole-frame and per-pixel implementations that the
+# band-proportional stages replaced, kept to pin their exact output ---
+
+RING_OFFSETS = ((-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1), (0, -1), (-1, -1))
+
+
+def oracle_neighbor_rings(g):
+    """The eight neighbor planes P2..P9 (clockwise from north) of a padded grid."""
+    p = np.pad(g, 1).astype(np.uint8)
+    return (p[:-2, 1:-1], p[:-2, 2:], p[1:-1, 2:], p[2:, 2:],
+            p[2:, 1:-1], p[2:, :-2], p[1:-1, :-2], p[:-2, :-2])
+
+
+def oracle_prune_redundant(g):
+    """Row-major passes over every skeleton pixel: drop one whose >= 3
+    neighbors form a single 8-connected piece."""
+    h, w = g.shape
+    changed = True
+    while changed:
+        changed = False
+        for y, x in np.argwhere(g):
+            nbrs = [(dy, dx) for dy, dx in RING_OFFSETS
+                    if 0 <= y + dy < h and 0 <= x + dx < w and g[y + dy, x + dx]]
+            if len(nbrs) < 3:
+                continue
+            comp = {n: i for i, n in enumerate(nbrs)}
+            for i, a in enumerate(nbrs):
+                for b in nbrs[i + 1:]:
+                    if max(abs(a[0] - b[0]), abs(a[1] - b[1])) == 1:
+                        ra, rb = comp[a], comp[b]
+                        if ra != rb:
+                            for k in comp:
+                                if comp[k] == rb:
+                                    comp[k] = ra
+            if len(set(comp.values())) == 1:
+                g[y, x] = False
+                changed = True
+    return g
+
+
+def oracle_thin(grid):
+    """Zhang-Suen with every sub-iteration evaluated over the whole frame."""
+    g = np.asarray(grid).astype(bool).copy()
+    while True:
+        changed = False
+        for step in (0, 1):
+            p2, p3, p4, p5, p6, p7, p8, p9 = oracle_neighbor_rings(g)
+            ring = (p2, p3, p4, p5, p6, p7, p8, p9, p2)
+            b = sum(ring[:8], np.zeros_like(p2, dtype=np.int32))
+            a = sum(((ring[k] == 0) & (ring[k + 1] == 1)) for k in range(8))
+            cond = g & (b >= 2) & (b <= 6) & (a == 1)
+            if step == 0:
+                cond &= (p2 * p4 * p6 == 0) & (p4 * p6 * p8 == 0)
+            else:
+                cond &= (p2 * p4 * p8 == 0) & (p2 * p6 * p8 == 0)
+            if cond.any():
+                g[cond] = False
+                changed = True
+        if not changed:
+            return oracle_prune_redundant(g)
+
+
+def oracle_build_graph(pixels, link_radius):
+    """A dict lookup per vertex and link offset."""
+    coords = np.argwhere(np.asarray(pixels))
+    vertices = [tuple(int(c) for c in row) for row in coords]
+    index = {v: i for i, v in enumerate(vertices)}
+    r = int(np.floor(link_radius))
+    offsets = []
+    for dy in range(0, r + 1):
+        for dx in range(-r, r + 1):
+            if dy == 0 and dx <= 0:
+                continue
+            d = np.hypot(dy, dx)
+            if d <= link_radius:
+                offsets.append((dy, dx, float(d)))
+    edges = []
+    for i, (y, x) in enumerate(vertices):
+        for dy, dx, d in offsets:
+            j = index.get((y + dy, x + dx))
+            if j is not None:
+                edges.append((d, min(i, j), max(i, j)))
+    return PixelGraph(vertices=vertices, edges=edges)
+
+
+def oracle_close_and_fill(path, shape):
+    """The closed curve filled by scipy's iterative-dilation hole fill."""
+    if len(path) < contour.MIN_PATH_VERTICES:
+        raise DegenerateContour("short path")
+    h, w = shape
+    curve = np.zeros(shape, dtype=bool)
+    for p, q in zip(path, path[1:] + path[:1]):
+        for y, x in bresenham(p, q):
+            if not (0 <= y < h and 0 <= x < w):
+                raise OpenRegion("outside")
+            curve[y, x] = True
+    mask = ndimage.binary_fill_holes(curve)
+    if not (mask & ~curve).any():
+        raise OpenRegion("no interior")
+    return mask.astype(np.uint8)
+
+
+def oracle_brn_segment(dmap, tau):
+    band = binarize(dmap, tau)
+    skel = oracle_thin(band)
+    graph = oracle_build_graph(skel, contour.DEFAULT_LINK_RADIUS)
+    if largest_component_fraction(graph) < 0.5:
+        graph = oracle_build_graph(skel, contour.FALLBACK_LINK_RADIUS)
+    return oracle_close_and_fill(mst_max_path(graph), dmap.shape)
+
+
+def outcome(fn, *args):
+    """fn's result, or the class of the boundseg error it raised."""
+    try:
+        return fn(*args)
+    except BoundsegError as e:
+        return type(e)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want, type):
+        assert got is want
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # --- binarize ---
@@ -114,6 +246,57 @@ def test_thin_thick_ring_to_single_cycle():
         probe = sk.copy()
         probe[y, x] = False
         assert largest_component_fraction(build_graph(probe, 1.5)) == 1.0
+
+
+@st.composite
+def grids(draw):
+    """1x1 to 40x40 at any density, as drawn or opened or closed."""
+    h, w = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    density = draw(st.floats(0.0, 1.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.random((h, w)) < density
+    morph = draw(st.sampled_from([None, ndimage.binary_opening, ndimage.binary_closing]))
+    return g if morph is None else morph(g)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(grids())
+def test_thin_and_build_graph_match_the_oracles(grid):
+    sk = thin(grid)
+    assert sk.dtype == bool and np.array_equal(sk, oracle_thin(grid))
+    for g in (grid, sk):
+        for radius in (1, 1.5, 2.5, 3):
+            got, want = build_graph(g, radius), oracle_build_graph(g, radius)
+            assert got.vertices == want.vertices
+            assert got.edges == want.edges
+
+
+def thick_masks():
+    n = 321
+    ii, jj = np.mgrid[0:n, 0:n]
+    r = np.hypot(ii - 160, jj - 160)
+    corner = np.zeros((n, n), dtype=bool)
+    corner[:90, :120] = True
+    edge_bar = np.zeros((n, n), dtype=bool)
+    edge_bar[40:280, -7:] = True
+    return {
+        "full-frame": np.ones((n, n), dtype=bool),
+        "disk-140": r <= 140,
+        "ring-40": (r <= 140) & (r > 100),
+        "corner-block": corner,
+        "edge-bar": edge_bar,
+        "cut-disk": np.hypot(ii - 10, jj - 200) <= 60,
+        "cut-ring": (np.hypot(ii - 300, jj - 150) <= 50) & (np.hypot(ii - 300, jj - 150) > 44),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(thick_masks()))
+def test_thin_matches_the_oracle_on_thick_and_border_masks(name):
+    g = thick_masks()[name]
+    sk = thin(g)
+    assert np.array_equal(sk, oracle_thin(g))
+    got, want = build_graph(sk, 1.5), oracle_build_graph(sk, 1.5)
+    assert got.vertices == want.vertices and got.edges == want.edges
 
 
 # --- graph construction ---
@@ -505,6 +688,29 @@ def test_brn_bridges_small_gaps_via_fallback():
     want = np.zeros((24, 24), np.uint8)
     want[4:20, 4:20] = 1
     assert dice(got, want) >= 0.95
+
+
+@pytest.fixture(scope="module")
+def phantom_maps():
+    """Ground-truth maps of eight 321² phantoms."""
+    return [mask_to_distance_map(generate_sample((321, 321), 2019, k)[1])
+            for k in range(8)]
+
+
+@pytest.mark.parametrize("tau", [0.2, 0.6])
+def test_brn_segment_matches_the_oracle_chain_on_phantoms(phantom_maps, tau):
+    for dm in phantom_maps:
+        got = outcome(brn_segment, dm, tau)
+        assert isinstance(got, np.ndarray)
+        assert_same_outcome(got, oracle_brn_segment(dm, tau))
+
+
+def test_brn_segment_matches_the_oracle_chain_on_a_fragmented_ring():
+    # three arcs: the fallback link radius joins them
+    dm = np.zeros((24, 24), dtype=np.float32)
+    dm[square_ring(24, 24, 4, 19)] = 1.0
+    dm[4, 10:12] = dm[12:14, 19] = dm[19, 8:10] = 0.0
+    assert_same_outcome(outcome(brn_segment, dm, 0.6), oracle_brn_segment(dm, 0.6))
 
 
 def test_brn_deterministic():

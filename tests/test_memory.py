@@ -1,13 +1,14 @@
 """What the layers hold: each activation once, only until the backward
 that needs it has run, and nothing after an inference forward; what the
-conv and pool ops allocate while they run; and what loading a model
-allocates."""
+conv and pool ops allocate while they run; what loading a model
+allocates; and what thinning a contour band allocates."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from boundseg.contour import thin
 from boundseg.errors import ShapeMismatch
 from boundseg.models import (
     ClassifierSpec,
@@ -306,3 +307,17 @@ def test_load_model_holds_the_parameters_once(tmp_path, dtype):
     assert peak <= bound, (peak / 1e6, bound / 1e6)
     for (_, a), (_, b) in zip(saved.named_params(), model.named_params()):
         assert a.data.astype(dtype).tobytes() == b.data.tobytes()
+
+
+def test_thin_allocates_in_proportion_to_the_band():
+    """A 5 px ring in a 2048² frame: thinning holds the frame only as
+    one-byte grids and works on the band's border pixels, so it stays
+    under 8 bytes per frame pixel.  Whole-frame int32 neighbour sums
+    peaked at about 25."""
+    n = 2048
+    ii, jj = np.ogrid[:n, :n]
+    r = np.hypot(ii - n / 2, jj - n / 2)
+    ring = (r >= 900) & (r < 905)
+    skeleton, peak = traced_peak(thin, ring)
+    assert skeleton.any() and not (skeleton & ~ring).any()
+    assert peak < 8 * ring.size, peak / ring.size

@@ -74,8 +74,11 @@ def naive_transposed_conv2d(x, spec, w, b):
 def naive_maxpool2d(x, window, stride, ceil_mode=False):
     n, c, h, w = x.shape
     if ceil_mode:
+        # PyTorch's rule: a last window starting at or past the edge is dropped
         oh = math.ceil((h - window) / stride) + 1
         ow = math.ceil((w - window) / stride) + 1
+        oh -= (oh - 1) * stride >= h
+        ow -= (ow - 1) * stride >= w
     else:
         oh = (h - window) // stride + 1
         ow = (w - window) // stride + 1
@@ -413,6 +416,7 @@ POOL_CASES = [
     (3, 2, True, (9, 9)),
     (3, 2, True, (321, 5)),
     (2, 2, True, (7, 7)),
+    (1, 3, True, (5, 5)),  # stride > window: no window may start past the edge
 ]
 
 
@@ -431,6 +435,22 @@ def test_maxpool_ceil_chain_321():
     for want in (161, 81, 41):
         x = maxpool2d(x, 2, 2, ceil_mode=True)
         assert x.shape[2:] == (want, want)
+
+
+def test_maxpool_ceil_drops_windows_past_the_edge():
+    """Windows start at 0 and 3 of 5; a third would start at 6, past the
+    edge, and read nothing."""
+    x = np.ones((1, 1, 5, 5))
+    y = maxpool2d(x, 1, 3, ceil_mode=True)
+    assert y.shape == (1, 1, 2, 2)
+    assert np.isfinite(y).all()
+    gy = np.arange(1.0, 5.0).reshape(1, 1, 2, 2)
+    gx = maxpool2d_vjp(x, 1, 3, gy, ceil_mode=True)
+    assert gx.sum() == gy.sum()  # every gy is routed
+    np.testing.assert_array_equal(gx[0, 0, ::3, ::3], gy[0, 0])
+    # the models' window-2 stride-2 pools keep their sizes
+    for s in (321, 161, 81, 64, 32, 16):
+        assert maxpool2d(np.zeros((1, 1, s, s)), 2, 2, True).shape[2:] == ((s + 1) // 2,) * 2
 
 
 @pytest.mark.parametrize("window,stride,ceil_mode,hw", POOL_CASES)

@@ -22,7 +22,12 @@ checkout's `src`, this runs the same recipe in a fresh directory:
 - `segment` of that dataset's 321² test image with the reference
   checkpoint, in classifier mode, so the checkpoint is loaded at full
   scale and the odd pool sizes (321 -> 161 -> 81 -> 41, each with a
-  partial last window) run forward.
+  partial last window) run forward;
+- `contour.brn_segment` at tau 0.2 and at the default tau on every
+  ground-truth distance map of both datasets, and on a ring cut into
+  three arcs, which only the fallback link radius joins.  Each writes its
+  mask, or the class of the error it raised.  The desk models' BRN
+  segments above mostly fail, so these runs are what check the contours.
 
 Every file written and every command's exit code, stdout and stderr are
 kept.  The two output trees are then compared file by file; only the
@@ -59,6 +64,31 @@ records = [r for r in phantom.read_manifest(manifest) if r.split == "train"]
 models.train(records, models.reference_config(), models.LossSchedule(0.9, 0.1, 1),
              0.01, batch_size=1, seed=7, checkpoint_path="ref/step.bseg",
              log_path="ref/step.log.tsv")
+"""
+
+BRN_CONTOURS = """\
+from pathlib import Path
+import numpy as np
+from boundseg import contour, errors, imgio, phantom
+
+ring = np.zeros((24, 24), dtype=np.float32)
+ring[4, 4:20] = ring[19, 4:20] = ring[4:20, 4] = ring[4:20, 19] = 1.0
+ring[4, 10:12] = ring[12:14, 19] = ring[19, 8:10] = 0.0
+maps = [(f"{root}-{rec.id}", imgio.read_fmap(rec.dmap))
+        for root in ("d64", "ref")
+        for rec in phantom.read_manifest(Path(root) / "manifest.tsv")]
+maps.append(("fragmented-ring", ring))
+out = Path("brn")
+out.mkdir()
+for name, dmap in maps:
+    for tau in (0.2, contour.DEFAULT_TAU):
+        try:
+            mask = contour.brn_segment(dmap, tau=tau)
+        except errors.BoundsegError as e:
+            (out / f"{name}-tau{tau}.txt").write_text(type(e).__name__ + "\\n",
+                                                      encoding="utf-8")
+        else:
+            imgio.write_pgm(out / f"{name}-tau{tau}.pgm", mask)
 """
 
 # `segment` prints "<image>: <seconds>s (<mode>)"
@@ -128,6 +158,7 @@ def recipe(tree: Path, out: Path) -> None:
     (image,) = [image for _, image, _, _, split in ref_rows if split == "test"]
     r.cli("segment", "--ckpt", "ref/step.bseg", "--image", f"ref/{image}",
           "--out", "ref/segment.pgm")
+    r.run("-c", BRN_CONTOURS)
 
 
 def differences(a: Path, b: Path) -> tuple[list[str], int]:
