@@ -154,8 +154,6 @@ def read_train_config(path):
         }
     except ValueError as exc:
         raise InvalidParams(f"{path}: bad value: {exc}") from exc
-    if hypers["batch_size"] < 1:
-        raise InvalidParams("batch_size must be >= 1")
     return config, schedule, hypers
 
 
@@ -229,14 +227,6 @@ def cmd_train(args) -> int:
         checkpoint_path=out,
         log_path=log_path,
     )
-    for rec in records:
-        log.info(
-            "epoch %d: lambda %.4f l2 %s ce %s val_dice %s",
-            rec.epoch, rec.lam,
-            "na" if rec.l2 is None else f"{rec.l2:.5f}",
-            "na" if rec.ce is None else f"{rec.ce:.5f}",
-            "na" if rec.val_dice is None else f"{rec.val_dice:.4f}",
-        )
     final = records[-1]
     summary = ("na" if final.val_dice is None else f"{final.val_dice:.4f}")
     print(f"trained {len(records)} epochs, final val dice {summary}, "

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from .errors import DegenerateContour, EmptyResult, OpenRegion
+from .errors import DegenerateContour, EmptyResult, InvalidParams, OpenRegion
 
 DEFAULT_TAU = 0.6
 DEFAULT_LINK_RADIUS = 1.5
@@ -191,13 +191,17 @@ def build_graph(pixels: np.ndarray, link_radius: float) -> PixelGraph:
 
     `pixels` is a boolean grid; vertices come out in row-major order,
     edge weight is the pixel distance.  Edges come out by their first
-    vertex, then in the order of the link offsets below.
+    vertex, then in the order of the link offsets below.  The radius must
+    be finite; offsets longer than the grid, which reach no pixel, are cut.
     """
+    if not np.isfinite(link_radius):
+        raise InvalidParams(f"link radius must be finite, got {link_radius}")
     grid = np.asarray(pixels)
     coords = np.argwhere(grid)
     vertices = list(map(tuple, coords.tolist()))
 
-    r = max(int(np.floor(link_radius)), 0)
+    h, w = grid.shape
+    r = max(min(int(np.floor(link_radius)), max(h, w) - 1), 0)
     offsets = []
     for dy in range(0, r + 1):
         for dx in range(-r, r + 1):
@@ -209,7 +213,6 @@ def build_graph(pixels: np.ndarray, link_radius: float) -> PixelGraph:
 
     # vertex index of each pixel, -1 off the pixels, with r columns of
     # margin either side and r rows below so every offset stays inside
-    h, w = grid.shape
     index = np.full((h + r, w + 2 * r), -1, dtype=np.intp)
     ys, xs = coords[:, 0], coords[:, 1] + r
     index[ys, xs] = np.arange(len(coords))

@@ -32,10 +32,6 @@ class LabelOutOfRange(DataError):
     pass
 
 
-class MissingGradient(NumericError):
-    pass
-
-
 class DivergedTraining(NumericError):
     pass
 

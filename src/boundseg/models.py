@@ -11,6 +11,7 @@ the image), so both losses drive the encoder and regression head.
 from __future__ import annotations
 
 import json
+import logging
 import math
 from dataclasses import asdict, dataclass, fields, is_dataclass
 from pathlib import Path
@@ -41,6 +42,8 @@ from .nn.layers import (
 )
 from .nn.ops import ConvSpec, DeconvSpec
 from .phantom import check_seed, read_manifest
+
+logger = logging.getLogger("boundseg")
 
 DOWNSAMPLE_FACTOR = 8
 DECONV_KERNEL = 4  # k=4, s=2, p=1 doubles the spatial size exactly
@@ -394,10 +397,6 @@ def _load_split(records, split: str, dtype, with_dmaps: bool):
     return imgs, masks, dmaps
 
 
-def _batch_indices(n: int, batch_size: int):
-    return [range(i, min(i + batch_size, n)) for i in range(0, n, batch_size)]
-
-
 def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
           *, momentum: float = 0.9, batch_size: int = 8, seed: int = 0,
           checkpoint_path=None, log_path=None,
@@ -408,7 +407,11 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
     present, is scored (Dice) after every epoch for the log.  Ground
     truth distance maps are only ever read when some epoch has
     lambda > 0.  Bit-reproducible given (seed, single-thread numpy).
+    Each epoch's row is logged, and appended to `log_path`, as it ends.
     """
+    _check_type("batch_size", int, batch_size)
+    if batch_size < 1:
+        raise InvalidParams(f"batch_size must be >= 1, got {batch_size}")
     records = manifest if isinstance(manifest, list) else read_manifest(manifest)
     model = SegmentationModel(config, seed=seed)
     dtype = model.dtype
@@ -426,17 +429,17 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
     d_all = np.stack(dmaps)[:, None, :, :] if needs_dmaps else None
 
     params = [p for _, p in model.named_params()]
-    for p in params:  # sgd_step re-zeroes these in place after every batch
-        p.grad = np.zeros_like(p.data)
     rng = np.random.default_rng(seed)
     log: list[EpochRecord] = []
+    if log_path is not None:
+        write_training_log(log_path, [])
 
     for epoch in range(schedule.total_epochs):
         lam = lambdas[epoch]
         order = rng.permutation(n)
         l2_sum = ce_sum = 0.0
-        for b, batch in enumerate(_batch_indices(n, batch_size)):
-            idx = order[list(batch)]
+        for b, start in enumerate(range(0, n, batch_size)):
+            idx = order[start : start + batch_size]
             pred, logits = model.forward(x_all[idx])
             out = objective(pred, d_all[idx] if lam > 0.0 else None, logits, m_all[idx],
                             lam)
@@ -456,31 +459,39 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
             preds = segment_batch(np.stack(val_imgs), model)
             val_dice = float(np.mean([dice(p, m)
                                       for p, m in zip(preds, val_masks)]))
-        log.append(EpochRecord(
+        rec = EpochRecord(
             epoch=epoch,
             lam=lam,
             l2=(l2_sum / n) if lam > 0.0 else None,
             ce=(ce_sum / n) if lam < 1.0 else None,
             val_dice=val_dice,
-        ))
+        )
+        log.append(rec)
+        logger.info(
+            "epoch %d: lambda %.4f l2 %s ce %s val_dice %s",
+            rec.epoch, rec.lam,
+            "na" if rec.l2 is None else f"{rec.l2:.5f}",
+            "na" if rec.ce is None else f"{rec.ce:.5f}",
+            "na" if rec.val_dice is None else f"{rec.val_dice:.4f}",
+        )
+        if log_path is not None:
+            with opened(log_path, "a", "training log") as f:
+                f.write(_log_row(rec))
 
-    if log_path is not None:
-        write_training_log(log_path, log)
     if checkpoint_path is not None:
         save_model(checkpoint_path, model)
     return model, log
 
 
+def _log_row(r: EpochRecord) -> str:
+    return "\t".join("na" if v is None else repr(v) for v in r) + "\n"
+
+
 def write_training_log(path, records: list[EpochRecord]) -> None:
     """One structured record per epoch: epoch, lambda, l2, ce, val_dice."""
-    def fmt(v):
-        return "na" if v is None else repr(v)
-
     with opened(path, "w", "training log") as f:
         f.write("# epoch\tlambda\tl2\tce\tval_dice\n")
-        for r in records:
-            f.write(f"{r.epoch}\t{r.lam!r}\t{fmt(r.l2)}\t{fmt(r.ce)}"
-                    f"\t{fmt(r.val_dice)}\n")
+        f.writelines(map(_log_row, records))
 
 
 def read_training_log(path) -> list[EpochRecord]:

@@ -10,26 +10,27 @@ keep=False (inference) saves nothing, and there `ReLU` overwrites its
 input: that is the conv output just made, which nothing else holds.  In
 training that would be just as sound (the conv keeps its input, not its
 output), but there it raised the `train` benchmark's peak RSS from 411
-to 416 MB, so training makes a new array.  Backward accumulates
-parameter gradients into `Param.grad`; `sgd_step` consumes and zeroes
-those buffers in place.  Weight init is He-style scaled-uniform
-(+-sqrt(6 / fan_in)), which keeps activation variance roughly constant
-through deep ReLU stacks; biases start at zero.  Without an rng the
-weights are left uninitialised, for a caller that fills them
-(`models.load_model`).
+to 416 MB, so training makes a new array.  A gradient lives from
+backward to `sgd_step`: `Param.grad` takes over the first fresh vjp
+array and adds later ones into it; `sgd_step` skips a parameter whose
+grad is None (a head the loss weight leaves out) and drops each grad it
+uses.  Weight init is He-style scaled-uniform (+-sqrt(6 / fan_in)), which
+keeps activation variance roughly constant through deep ReLU stacks;
+biases start at zero.  Without an rng the weights are left uninitialised,
+for a caller that fills them (`models.load_model`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import MissingGradient, ShapeMismatch
+from ..errors import ShapeMismatch
 from . import ops
 from .ops import ConvSpec, DeconvSpec
 
 
 class Param:
-    """A learnable array with optional gradient and momentum buffers."""
+    """A learnable array with its gradient and momentum buffers, None while unused."""
 
     __slots__ = ("data", "grad", "vel")
 
@@ -44,7 +45,7 @@ class Param:
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = g.astype(self.data.dtype, copy=True)
+            self.grad = g.astype(self.data.dtype, copy=False)
         else:
             self.grad += g
 
@@ -58,23 +59,21 @@ def he_uniform(shape, fan_in: int, rng: np.random.Generator | None,
 
 
 def sgd_step(params, lr: float, momentum: float = 0.0) -> None:
-    """v <- momentum*v - lr*grad; param <- param + v; grads zeroed.
+    """v <- momentum*v - lr*grad; param <- param + v; grad <- None.
 
     Runs in place on each parameter's own buffers, with the same three
-    roundings as the expressions above and no parameter-sized
-    temporaries; `p.data` keeps its identity."""
-    params = list(params)
+    roundings as the expressions above and no parameter-sized temporaries;
+    `p.data` keeps its identity.  A parameter whose grad is None is skipped."""
     for p in params:
         if p.grad is None:
-            raise MissingGradient(f"parameter with shape {p.shape} has no gradient buffer")
-    for p in params:
+            continue
         if p.vel is None:
             p.vel = np.zeros_like(p.data)
         p.vel *= momentum
         p.grad *= lr
         p.vel -= p.grad
         p.data += p.vel
-        p.grad[...] = 0.0
+        p.grad = None
 
 
 class Layer:

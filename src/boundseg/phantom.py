@@ -19,7 +19,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .distmap import boundary_pixels, euclidean_dt, mask_to_distance_map
-from .errors import InvalidParams, IoFailure, ShapeMismatch, opened
+from .errors import EmptyMask, InvalidParams, IoFailure, ShapeMismatch, opened
 from .imgio import write_fmap, write_pgm
 
 # intensity levels of the piecewise phantom (before ramp/blur/speckle)
@@ -274,7 +274,7 @@ def _augmented(img, mask, seed: int, index: int, k: int):
         try:
             _check_area(mask2)
             boundary_pixels(mask2)
-        except Exception:
+        except (InvalidParams, EmptyMask):
             continue
         return img2, mask2
     raise InvalidParams(f"no valid augmentation for sample {index} variant {k}")

@@ -139,6 +139,15 @@ def test_read_train_config_rejects_unknown_key(tmp_path):
         read_train_config(cfg)
 
 
+def test_train_batch_size_zero_is_data_error(dataset, tmp_path):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_CONFIG.replace("batch_size = 2", "batch_size = 0"))
+    res = run_cli("train", "--config", cfg, "--data", dataset, "--out", tmp_path / "m.bseg")
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert "InvalidParams: batch_size must be >= 1, got 0" in res.stderr
+
+
 def test_read_train_config_rejects_bad_value(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("epochs = many\n")
@@ -310,6 +319,16 @@ def test_segment_brn_roundtrip_via_files(checkpoint, dataset, tmp_path):
         assert set(np.unique(mask)) <= {0, 1}
     else:
         assert code in (EXIT_DATA, 4)
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_segment_brn_rejects_a_non_finite_link_radius(checkpoint, dataset, tmp_path, radius):
+    res = run_cli("segment", "--ckpt", checkpoint, "--image",
+                  dataset / "images" / "test_0000.pgm", "--out", tmp_path / "o.pgm",
+                  "--mode", "brn", "--tau", "1e-9", "--link-radius", radius)
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert f"InvalidParams: link radius must be finite, got {radius}" in res.stderr
 
 
 def test_segment_overlay_triptych(checkpoint, dataset, tmp_path):

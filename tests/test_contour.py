@@ -21,7 +21,13 @@ from boundseg.contour import (
     thin,
 )
 from boundseg.distmap import mask_to_distance_map
-from boundseg.errors import BoundsegError, DegenerateContour, EmptyResult, OpenRegion
+from boundseg.errors import (
+    BoundsegError,
+    DataError,
+    DegenerateContour,
+    EmptyResult,
+    OpenRegion,
+)
 from boundseg.metrics import dice
 from boundseg.phantom import generate_sample
 
@@ -332,6 +338,26 @@ def test_build_graph_matches_brute_force():
                 want.add((round(d, 9), i, j))
         got = {(round(w, 9), i, j) for w, i, j in pg.edges}
         assert got == want
+
+
+@pytest.mark.parametrize("radius", [float("nan"), float("inf"), -float("inf")])
+def test_build_graph_rejects_a_non_finite_radius(radius):
+    grid = np.zeros((4, 4), dtype=bool)
+    grid[1, 1:3] = True
+    with pytest.raises(DataError, match="link radius"):
+        build_graph(grid, radius)
+
+
+@pytest.mark.parametrize("shape", [(20, 20), (3, 40), (40, 3), (1, 1)])
+def test_build_graph_radius_beyond_the_grid_links_every_pair(shape):
+    grid = np.random.default_rng(11).random(shape) < 0.3
+    grid.flat[[0, -1]] = True  # the two farthest pixels are on
+    whole = oracle_build_graph(grid, float(np.hypot(*shape)))
+    assert len(whole.edges) == len(whole.vertices) * (len(whole.vertices) - 1) // 2
+    for radius in (max(shape) - 1, 3000.0, 1e300):
+        pg = build_graph(grid, radius)
+        want = oracle_build_graph(grid, min(radius, float(np.hypot(*shape))))
+        assert pg.vertices == want.vertices and pg.edges == want.edges
 
 
 def test_graph_invariants():

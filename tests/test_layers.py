@@ -1,7 +1,5 @@
 import numpy as np
-import pytest
 
-from boundseg.errors import MissingGradient
 from boundseg.nn import (
     Conv2d,
     ConvSpec,
@@ -34,7 +32,7 @@ def test_sgd_step_momentum_recurrence():
     sgd_step([p], lr=0.1, momentum=0.9)
     assert np.allclose(p.vel, [-0.1])
     assert np.allclose(p.data, [0.9])
-    assert (p.grad == 0).all()
+    assert p.grad is None
     p.grad = np.array([1.0])
     sgd_step([p], lr=0.1, momentum=0.9)
     # v = 0.9*(-0.1) - 0.1*1 = -0.19
@@ -42,14 +40,17 @@ def test_sgd_step_momentum_recurrence():
     assert np.allclose(p.data, [0.71])
 
 
-def test_sgd_step_requires_gradients():
-    good = Param(np.zeros(2))
-    good.grad = np.zeros(2)
-    bad = Param(np.zeros(2))
-    with pytest.raises(MissingGradient):
-        sgd_step([good, bad], lr=0.1)
-    # the good param must not have been touched before the raise
-    assert good.vel is None
+def test_sgd_step_skips_parameters_without_gradients():
+    stepped = Param(np.ones(2))
+    stepped.grad = np.array([1.0, -2.0])
+    skipped = Param(np.array([3.0, -4.0]))
+    skipped.vel = np.array([0.5, 0.25])
+    sgd_step([stepped, skipped], lr=0.1, momentum=0.9)
+    assert np.allclose(stepped.vel, [-0.1, 0.2])
+    assert np.allclose(stepped.data, [0.9, 1.2])
+    assert skipped.data.tolist() == [3.0, -4.0]
+    assert skipped.vel.tolist() == [0.5, 0.25]
+    assert stepped.grad is None and skipped.grad is None
 
 
 def test_param_accumulate_adds():
@@ -58,6 +59,15 @@ def test_param_accumulate_adds():
     p.accumulate(np.ones(3))
     assert (p.grad == 2).all()
     assert p.grad.dtype == np.float32
+
+
+def test_param_accumulate_takes_over_the_first_gradient():
+    p = Param(np.zeros(3, dtype=np.float32))
+    g = np.ones(3, dtype=np.float32)
+    p.accumulate(g)
+    assert p.grad is g
+    p.accumulate(np.ones(3, dtype=np.float32))
+    assert p.grad is g and (g == 2).all()
 
 
 def test_conv_layer_backward_accumulates_params():

@@ -142,7 +142,7 @@ def test_sgd_step_in_place_matches_old_expressions(dtype, momentum):
         data, vel = old_sgd(data, vel, grad, 0.037, momentum)
         assert p.data.tobytes() == data.tobytes(), step
         assert p.vel.tobytes() == vel.tobytes(), step
-        assert p.data.dtype == dtype and not p.grad.any()
+        assert p.data.dtype == dtype and p.grad is None
     assert p.data is original
 
 

@@ -295,8 +295,24 @@ def test_lambda_one_leaves_classifier_bit_unchanged(small_dataset):
     for name, p in model.named_params():
         if name.startswith("classifier."):
             assert p.data.tobytes() == before[name].tobytes(), name
+            assert p.vel is None, name  # never stepped, not stepped by zero
         elif name.endswith(".w"):
             assert not np.array_equal(p.data, before[name]), name
+
+
+@pytest.mark.parametrize("lam", [(1.0, 1.0), (0.9, 0.1), (0.0, 0.0)])
+def test_train_releases_every_gradient(small_dataset, lam):
+    model, _ = train(small_dataset, tiny_config(64, 64), LossSchedule(*lam, 2),
+                     lr=0.05, batch_size=2, seed=5)
+    for name, p in model.named_params():
+        assert p.grad is None, name
+
+
+@pytest.mark.parametrize("batch_size", [0, -1, 2.0, True, "2"])
+def test_train_rejects_bad_batch_size(small_dataset, batch_size):
+    with pytest.raises(InvalidParams, match="batch_size"):
+        train(small_dataset, tiny_config(64, 64), LossSchedule(0.5, 0.5, 1),
+              lr=0.05, batch_size=batch_size, seed=5)
 
 
 def test_lambda_zero_never_reads_distance_maps(small_dataset, tmp_path):
@@ -346,6 +362,33 @@ def test_training_log_and_checkpoint_roundtrip(small_dataset, tmp_path):
     save_model(ck2, loaded)
     assert ck.read_bytes() == ck2.read_bytes()
     assert ck.with_suffix(".json").read_bytes() == ck2.with_suffix(".json").read_bytes()
+
+
+def test_training_log_keeps_the_epochs_before_a_divergence(small_dataset, tmp_path,
+                                                         monkeypatch, caplog):
+    import boundseg.models as models
+
+    calls = []
+
+    def nan_in_epoch_two(*args):
+        calls.append(None)
+        out = objective(*args)
+        return out._replace(total=float("nan")) if len(calls) > 4 else out
+
+    # 4 train samples at batch 2: two batches per epoch, epoch 2 is calls 5-6
+    monkeypatch.setattr(models, "objective", nan_in_epoch_two)
+    lg = tmp_path / "log.tsv"
+    with caplog.at_level("INFO", logger="boundseg"), \
+            pytest.raises(DivergedTraining, match="at epoch 2, batch 0"):
+        train(small_dataset, tiny_config(64, 64), LossSchedule(0.9, 0.1, 4),
+              lr=0.05, batch_size=2, seed=1, log_path=lg)
+    rows = lg.read_text(encoding="utf-8").splitlines()
+    assert rows[0] == "# epoch\tlambda\tl2\tce\tval_dice"
+    back = read_training_log(lg)
+    assert [r.epoch for r in back] == [0, 1]
+    assert [r.message for r in caplog.records] == [
+        f"epoch {r.epoch}: lambda {r.lam:.4f} l2 {r.l2:.5f} ce {r.ce:.5f} "
+        f"val_dice {r.val_dice:.4f}" for r in back]
 
 
 @pytest.mark.parametrize("tail", [b"# \xff\n", b"1\t0.5\t1.0\n", b"1\t0.5\tx\tna\tna\n"])

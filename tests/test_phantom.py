@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boundseg.errors import InvalidParams, ShapeMismatch
+from boundseg import phantom
+from boundseg.errors import EmptyMask, InvalidParams, ShapeMismatch
 from boundseg.imgio import read_fmap, read_pgm_image, read_pgm_mask
 from boundseg.metrics import dice
 from boundseg.phantom import (
@@ -300,6 +301,36 @@ def test_make_dataset_augmented_variants(tmp_path):
         assert 0.6 <= d <= 1.0
         frac = aug.sum() / aug.size
         assert MIN_AREA_FRACTION <= frac <= MAX_AREA_FRACTION
+
+
+@pytest.mark.parametrize("name", ["elastic_augment", "_check_area", "boundary_pixels"])
+def test_augmentation_does_not_retry_other_failures(monkeypatch, name):
+    img, mask = gen_sample(PhantomParams(seed=3))
+    calls = []
+
+    def broken(*args):
+        calls.append(None)
+        raise RuntimeError("not a bad draw")
+
+    monkeypatch.setattr(phantom, name, broken)
+    with pytest.raises(RuntimeError, match="not a bad draw"):
+        phantom._augmented(img, mask, 0, 0, 0)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("error", [InvalidParams, EmptyMask])
+def test_augmentation_retries_a_draw_that_breaks_the_bounds(monkeypatch, error):
+    img, mask = gen_sample(PhantomParams(seed=3))
+    calls = []
+
+    def fails_once(m):
+        calls.append(None)
+        if len(calls) == 1:
+            raise error("bad draw")
+
+    monkeypatch.setattr(phantom, "boundary_pixels", fails_once)
+    img2, mask2 = phantom._augmented(img, mask, 0, 0, 0)
+    assert len(calls) == 2 and img2.shape == mask2.shape == img.shape
 
 
 def test_make_dataset_rejects_empty_split(tmp_path):

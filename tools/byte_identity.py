@@ -8,10 +8,12 @@ checkout's `src`, this runs the same recipe in a fresh directory:
 
 - `gen` of a 64² dataset (12 train, 8 test, seed 5);
 - desk `train` for 2 and for 12 epochs (batch 4, seed 3), a
-  regression-only `train` (lambda pinned at 1, 2 epochs) and a
-  classification-only one (lambda pinned at 0, 2 epochs), so each branch
-  of the loss weighting is trained;
-- `segment` of every test image with each of the four checkpoints, in
+  regression-only `train` (lambda pinned at 1, 2 epochs), a
+  classification-only one (lambda pinned at 0, 2 epochs) and one whose
+  lambda starts at 1 and ends at 0.5 (3 epochs), so each branch of the
+  loss weighting is trained, and the classifier is first left out and
+  then stepped;
+- `segment` of every test image with each of the five checkpoints, in
   classifier mode with `--overlay` and in `--mode brn --tau 0.2`;
 - `eval` of the regression-only model's classifier masks against the
   ground truth, with the ground truth as the compared set (after so few
@@ -55,6 +57,8 @@ TRAIN_CONFIGS = {
     "desk12": "epochs = 12\nbatch_size = 4\nseed = 3\n",
     "brn2": "epochs = 2\nbatch_size = 4\nseed = 3\nlambda_start = 1\nlambda_end = 1\n",
     "ce2": "epochs = 2\nbatch_size = 4\nseed = 3\nlambda_start = 0\nlambda_end = 0\n",
+    "brn-to-half3": "epochs = 3\nbatch_size = 4\nseed = 3\nlambda_start = 1\n"
+                    "lambda_end = 0.5\n",
 }
 
 REFERENCE_STEP = """\
