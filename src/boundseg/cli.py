@@ -356,7 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=None,
                    help="BRN threshold (default: module default)")
     p.add_argument("--link-radius", type=float, default=None,
-                   help="BRN site-linking radius (default: module default)")
+                   help="BRN site-linking radius in pixels, finite and >= 1 "
+                        "(default: module default)")
     p.add_argument("--overlay", default=None,
                    help="optional triptych PGM (image | boundary | mask)")
     p.set_defaults(func=cmd_segment)

@@ -9,6 +9,12 @@ order and all ties break lexicographically.
 
 Each stage costs in proportion to the band or the curve, not the frame:
 
+- `brn_segment` cuts the thresholded band to its bounding box, runs the
+  whole chain on that crop and pastes the mask back into a zero frame.
+  The result is the frame's: thinning pads with zeros, vertex and edge
+  order survive the crop, and a complement pixel on the box's edge can
+  step outward without crossing the curve, so it is exterior exactly
+  like one on the frame border.
 - Thinning reads each pixel's eight neighbours P2..P9 as one 8-bit code
   and looks it up in a 256-entry table per Zhang-Suen sub-iteration,
   built from the rule written once in `_zhang_suen_deletes`.  Only the
@@ -22,14 +28,20 @@ Each stage costs in proportion to the band or the curve, not the frame:
   made earlier in the pass), but a pass visits only the pixels that had
   at least three neighbours when it began: deletions only lower a count,
   so no other pixel could qualify.
-- The graph looks up a grid of vertex indices at each link offset.
-- The fill labels the complement of the closed curve once, 4-connected,
-  and keeps every label that does not touch the frame border.
+- The graph looks up a grid of vertex indices at each link offset, a
+  bounded group of offsets at a time, so its memory follows its edges.
+- Kruskal runs once per graph: the component test and the spanning tree
+  share the forest memoised on the `PixelGraph`.
+- The closed curve is set directly from the path's pixels; `bresenham`
+  fills in only the steps longer than one pixel and the closing segment.
+  The fill labels the complement once, 4-connected, and keeps every
+  label that does not touch the frame border.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -52,6 +64,20 @@ class PixelGraph:
 
     vertices: list[tuple[int, int]] = field(default_factory=list)
     edges: list[tuple[float, int, int]] = field(default_factory=list)
+
+    @cached_property
+    def forest(self):
+        """One Kruskal pass over a non-empty graph, edges in (weight, i, j)
+        order: the minimum spanning forest, each vertex's component root,
+        and the root of the largest component (ties broken toward the
+        component holding the smallest vertex index).  Computed on first
+        use and kept, so the graph must not change after that."""
+        dsu = _DSU(len(self.vertices))
+        forest = [e for e in sorted(self.edges) if dsu.union(e[1], e[2])]
+        roots = [dsu.find(i) for i in range(len(self.vertices))]
+        # roots in order of first appearance; max keeps the first of equals
+        best = max(dict.fromkeys(roots), key=lambda r: dsu.size[r])
+        return forest, roots, best
 
 
 class _DSU:
@@ -186,62 +212,63 @@ def thin(grid: np.ndarray) -> np.ndarray:
     return padded[1:-1, 1:-1].astype(bool)
 
 
+# vertex-offset lookups per group in `build_graph`: 512 KiB of indices
+_LINK_GROUP = 1 << 16
+
+
 def build_graph(pixels: np.ndarray, link_radius: float) -> PixelGraph:
     """Link every pixel pair within Euclidean distance link_radius.
 
     `pixels` is a boolean grid; vertices come out in row-major order,
     edge weight is the pixel distance.  Edges come out by their first
     vertex, then in the order of the link offsets below.  The radius must
-    be finite; offsets longer than the grid, which reach no pixel, are cut.
+    be finite and at least 1, the smallest that links a pixel pair;
+    offsets longer than the grid, which reach no pixel, are cut.
     """
     if not np.isfinite(link_radius):
         raise InvalidParams(f"link radius must be finite, got {link_radius}")
+    if link_radius < 1:
+        raise InvalidParams(f"link radius must be at least 1, got {link_radius}")
     grid = np.asarray(pixels)
     coords = np.argwhere(grid)
     vertices = list(map(tuple, coords.tolist()))
 
     h, w = grid.shape
     r = max(min(int(np.floor(link_radius)), max(h, w) - 1), 0)
-    offsets = []
-    for dy in range(0, r + 1):
-        for dx in range(-r, r + 1):
-            if dy == 0 and dx <= 0:
-                continue  # each unordered pair once; the other pixel comes later
-            d = np.hypot(dy, dx)
-            if d <= link_radius:
-                offsets.append((dy, dx, float(d)))
+    # offsets row-major over dy >= 0, each unordered pair once: the other
+    # pixel of a pair at dy == 0, dx <= 0 comes later
+    dy, dx = np.mgrid[0:r + 1, -r:r + 1]
+    dist = np.hypot(dy, dx)
+    keep = (dist <= link_radius) & ((dy > 0) | (dx > 0))
+    dy, dx, dist = dy[keep], dx[keep], dist[keep]
 
     # vertex index of each pixel, -1 off the pixels, with r columns of
     # margin either side and r rows below so every offset stays inside
     index = np.full((h + r, w + 2 * r), -1, dtype=np.intp)
     ys, xs = coords[:, 0], coords[:, 1] + r
     index[ys, xs] = np.arange(len(coords))
-    steps = np.array([o[:2] for o in offsets], dtype=np.intp).reshape(-1, 2)
-    weights = np.array([o[2] for o in offsets])
-    nbr = index[np.add.outer(ys, steps[:, 0]), np.add.outer(xs, steps[:, 1])]
-    i, k = np.nonzero(nbr >= 0)
-    edges = list(zip(weights[k].tolist(), i.tolist(), nbr[i, k].tolist()))
+    # (vertex, offset, neighbour) of each edge, a bounded group of offsets
+    # at a time so that memory follows the edges, not pixels x offsets
+    group = max(_LINK_GROUP // max(len(coords), 1), 1)
+    hits = [np.empty((3, 0), dtype=np.intp)]
+    for k0 in range(0, len(dist), group):
+        nbr = index[np.add.outer(ys, dy[k0:k0 + group]),
+                    np.add.outer(xs, dx[k0:k0 + group])]
+        i, k = np.nonzero(nbr >= 0)
+        hits.append(np.stack([i, k + k0, nbr[i, k]]))
+    i, k, j = np.concatenate(hits, axis=1)
+    # groups come in offset order, so a stable sort by vertex restores
+    # the (vertex, offset) order
+    order = np.argsort(i, kind="stable")
+    edges = list(zip(dist[k[order]].tolist(), i[order].tolist(), j[order].tolist()))
     return PixelGraph(vertices=vertices, edges=edges)
-
-
-def _forest(graph: PixelGraph):
-    """One Kruskal pass over a non-empty graph, edges in (weight, i, j)
-    order: the minimum spanning forest, each vertex's component root, and
-    the root of the largest component (ties broken toward the component
-    holding the smallest vertex index)."""
-    dsu = _DSU(len(graph.vertices))
-    forest = [e for e in sorted(graph.edges) if dsu.union(e[1], e[2])]
-    roots = [dsu.find(i) for i in range(len(graph.vertices))]
-    # roots in order of first appearance; max keeps the first of equals
-    best = max(dict.fromkeys(roots), key=lambda r: dsu.size[r])
-    return forest, roots, best
 
 
 def largest_component_fraction(graph: PixelGraph) -> float:
     """|largest connected component| / |vertices| (1.0 for empty graphs)."""
     if not graph.vertices:
         return 1.0
-    _, roots, best = _forest(graph)
+    _, roots, best = graph.forest
     return roots.count(best) / len(graph.vertices)
 
 
@@ -253,7 +280,7 @@ def minimum_spanning_tree(graph: PixelGraph) -> list[tuple[float, int, int]]:
     """
     if not graph.vertices:
         raise EmptyResult("graph has no vertices")
-    forest, roots, best = _forest(graph)
+    forest, roots, best = graph.forest
     return [e for e in forest if roots[e[1]] == best]
 
 
@@ -345,13 +372,23 @@ def close_and_fill(path: list[tuple[int, int]], shape: tuple[int, int]) -> np.nd
         raise DegenerateContour(
             f"path has {len(path)} vertices, need >= {MIN_PATH_VERTICES}")
     h, w = shape
+    # the curve's pixels in drawing order, each segment's end left to the
+    # next: a step to an 8-neighbour adds only its start, a longer step
+    # (and the closing one) its bresenham pixels
+    pts = np.asarray(path, dtype=np.intp)
+    steps = np.abs(np.roll(pts, -1, axis=0) - pts).max(axis=1)
+    pieces, start = [], 0
+    for k in np.flatnonzero(steps > 1).tolist():
+        pieces += [pts[start:k], bresenham(path[k], path[(k + 1) % len(path)])[:-1]]
+        start = k + 1
+    pieces.append(pts[start:])
+    ys, xs = np.concatenate(pieces).T
+    outside = (ys < 0) | (ys >= h) | (xs < 0) | (xs >= w)
+    if outside.any():
+        first = int(np.argmax(outside))
+        raise OpenRegion(f"contour pixel ({ys[first]}, {xs[first]}) outside frame {h}x{w}")
     curve = np.zeros((h, w), dtype=bool)
-    segments = list(zip(path, path[1:])) + [(path[-1], path[0])]
-    for p, q in segments:
-        for y, x in bresenham(p, q):
-            if not (0 <= y < h and 0 <= x < w):
-                raise OpenRegion(f"contour pixel ({y}, {x}) outside frame {h}x{w}")
-            curve[y, x] = True
+    curve[ys, xs] = True
 
     # 4-connected pieces of the complement; label 0 marks the curve
     labels, count = ndimage.label(~curve)
@@ -369,11 +406,16 @@ def brn_segment(dmap: np.ndarray, tau: float = DEFAULT_TAU,
                 link_radius: float = DEFAULT_LINK_RADIUS) -> np.ndarray:
     """Full post-processing chain: distance map in, filled mask out."""
     band = binarize(dmap, tau)
-    skel = thin(band)
+    # every stage runs on the band's bounding box (see the module notes)
+    rows, cols = np.flatnonzero(band.any(axis=1)), np.flatnonzero(band.any(axis=0))
+    box = np.s_[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
+    skel = thin(band[box])
     graph = build_graph(skel, link_radius)
     # a fragmented skeleton (gaps wider than link_radius) gets a second
     # chance at a coarser linking radius
     if largest_component_fraction(graph) < 0.5 and link_radius < FALLBACK_LINK_RADIUS:
         graph = build_graph(skel, FALLBACK_LINK_RADIUS)
     path = mst_max_path(graph)
-    return close_and_fill(path, dmap.shape)
+    mask = np.zeros(band.shape, dtype=np.uint8)
+    mask[box] = close_and_fill(path, skel.shape)
+    return mask

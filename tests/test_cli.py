@@ -331,6 +331,16 @@ def test_segment_brn_rejects_a_non_finite_link_radius(checkpoint, dataset, tmp_p
     assert f"InvalidParams: link radius must be finite, got {radius}" in res.stderr
 
 
+@pytest.mark.parametrize("radius", ["-2", "0", "0.5"])
+def test_segment_brn_rejects_a_link_radius_below_one(checkpoint, dataset, tmp_path, radius):
+    res = run_cli("segment", "--ckpt", checkpoint, "--image",
+                  dataset / "images" / "test_0000.pgm", "--out", tmp_path / "o.pgm",
+                  "--mode", "brn", "--tau", "1e-9", "--link-radius", radius)
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert f"InvalidParams: link radius must be at least 1, got {float(radius)}" in res.stderr
+
+
 def test_segment_overlay_triptych(checkpoint, dataset, tmp_path):
     img = dataset / "images" / "test_0000.pgm"
     out = tmp_path / "pred.pgm"

@@ -1,9 +1,11 @@
 import itertools
+import sys
+import tracemalloc
 from collections import deque
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -26,6 +28,7 @@ from boundseg.errors import (
     DataError,
     DegenerateContour,
     EmptyResult,
+    InvalidParams,
     OpenRegion,
 )
 from boundseg.metrics import dice
@@ -40,6 +43,15 @@ def square_ring(h, w, lo, hi):
     g[lo : hi + 1, lo] = True
     g[lo : hi + 1, hi] = True
     return g
+
+
+def fragmented_ring_map():
+    """A 1.0 square ring cut into three arcs by 2 px gaps, which only the
+    fallback link radius joins."""
+    dm = np.zeros((24, 24), dtype=np.float32)
+    dm[square_ring(24, 24, 4, 19)] = 1.0
+    dm[4, 10:12] = dm[12:14, 19] = dm[19, 8:10] = 0.0
+    return dm
 
 
 def disk_mask(h, w, cy, cx, r):
@@ -166,13 +178,22 @@ def outcome(fn, *args):
         return type(e)
 
 
+def outcome_with_message(fn, *args):
+    """fn's result, or the class and message of the boundseg error it raised."""
+    try:
+        return fn(*args)
+    except BoundsegError as e:
+        return type(e), str(e)
+
+
 def assert_same_outcome(got, want):
-    if isinstance(want, type):
-        assert got is want
-    else:
+    """Same mask bytes, or the same error (class, or class and message)."""
+    if isinstance(want, np.ndarray):
         assert isinstance(got, np.ndarray), got
         assert got.dtype == want.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    else:
+        assert not isinstance(got, np.ndarray) and got == want, got
 
 
 # --- binarize ---
@@ -348,13 +369,42 @@ def test_build_graph_rejects_a_non_finite_radius(radius):
         build_graph(grid, radius)
 
 
+@pytest.mark.parametrize("radius", [0.999, 0.5, 0.0, -2.0])
+def test_build_graph_rejects_a_radius_below_one(radius):
+    # no pixel pair is closer than 1, so such a radius links nothing
+    grid = np.zeros((4, 4), dtype=bool)
+    grid[1, 1:3] = True
+    with pytest.raises(InvalidParams, match=f"link radius must be at least 1, got {radius}"):
+        build_graph(grid, radius)
+    dm = np.zeros((24, 24), dtype=np.float32)
+    dm[square_ring(24, 24, 4, 19)] = 1.0
+    with pytest.raises(InvalidParams, match="at least 1"):
+        brn_segment(dm, link_radius=radius)
+
+
+def test_build_graph_memory_follows_its_edges():
+    # a 476-pixel ring linked at a radius as wide as the grid: every pixel
+    # pair within 128, about 95k edges from 476 x 25.7k lookups
+    grid = square_ring(128, 128, 4, 123)
+    tracemalloc.start()
+    try:
+        pg = build_graph(grid, 128)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(pg.vertices) == 476 and len(pg.edges) == 95364
+    edge_bytes = sys.getsizeof(pg.edges) + sum(
+        sys.getsizeof(e) + sum(map(sys.getsizeof, e)) for e in pg.edges)
+    assert peak < 3 * edge_bytes, (peak, edge_bytes)
+
+
 @pytest.mark.parametrize("shape", [(20, 20), (3, 40), (40, 3), (1, 1)])
 def test_build_graph_radius_beyond_the_grid_links_every_pair(shape):
     grid = np.random.default_rng(11).random(shape) < 0.3
     grid.flat[[0, -1]] = True  # the two farthest pixels are on
     whole = oracle_build_graph(grid, float(np.hypot(*shape)))
     assert len(whole.edges) == len(whole.vertices) * (len(whole.vertices) - 1) // 2
-    for radius in (max(shape) - 1, 3000.0, 1e300):
+    for radius in (max(max(shape) - 1, 1), 3000.0, 1e300):
         pg = build_graph(grid, radius)
         want = oracle_build_graph(grid, min(radius, float(np.hypot(*shape))))
         assert pg.vertices == want.vertices and pg.edges == want.edges
@@ -435,6 +485,30 @@ def test_mst_equal_size_components_tie_to_smallest_vertex():
     )
     assert [(i, j) for _, i, j in minimum_spanning_tree(g)] == [(0, 5), (5, 6)]
     assert largest_component_fraction(g) == 3 / 7
+
+
+@pytest.mark.parametrize("gaps, graphs", [(False, 1), (True, 2)])
+def test_brn_runs_kruskal_once_per_graph(monkeypatch, gaps, graphs):
+    # the component test and the spanning tree share one forest; the
+    # fragmented ring builds a second graph at the fallback radius
+    counts = {"forests": 0, "graphs": 0}
+
+    class CountingDSU(contour._DSU):
+        def __init__(self, n):
+            counts["forests"] += 1
+            super().__init__(n)
+
+    def counting_build_graph(*args, _build=contour.build_graph):
+        counts["graphs"] += 1
+        return _build(*args)
+
+    monkeypatch.setattr(contour, "_DSU", CountingDSU)
+    monkeypatch.setattr(contour, "build_graph", counting_build_graph)
+    dm = fragmented_ring_map()
+    if not gaps:
+        dm[square_ring(24, 24, 4, 19)] = 1.0
+    brn_segment(dm)
+    assert counts == {"forests": graphs, "graphs": graphs}
 
 
 # --- max path ---
@@ -610,13 +684,13 @@ def test_close_and_fill_short_path_raises():
 def bfs_fill(path, shape):
     """Oracle: rasterize the closed polyline, flood the exterior 4-connected
     from every background border pixel, keep the rest.  Returns the uint8
-    mask, or the error class close_and_fill must raise."""
+    mask, or the error class and message close_and_fill must raise."""
     h, w = shape
     curve = np.zeros(shape, dtype=bool)
     for p, q in zip(path, path[1:] + path[:1]):
         for y, x in bresenham(p, q):
             if not (0 <= y < h and 0 <= x < w):
-                return OpenRegion
+                return OpenRegion, f"contour pixel ({y}, {x}) outside frame {h}x{w}"
             curve[y, x] = True
     exterior = np.zeros(shape, dtype=bool)
     todo = deque((y, x) for y in range(h) for x in range(w)
@@ -630,7 +704,7 @@ def bfs_fill(path, shape):
                 exterior[ny, nx] = True
                 todo.append((ny, nx))
     if not (~exterior & ~curve).any():
-        return OpenRegion
+        return OpenRegion, "closed curve encloses no interior"
     return (~exterior).astype(np.uint8)
 
 
@@ -645,16 +719,27 @@ def test_close_and_fill_matches_bfs_oracle():
         path = [(int(rng.integers(-m, h + m)), int(rng.integers(-m, w + m)))
                 for _ in range(n)]
         want = bfs_fill(path, (h, w))
-        if isinstance(want, np.ndarray):
-            got = close_and_fill(path, (h, w))
-            assert got.dtype == np.uint8
-            assert np.array_equal(got, want), path
-            outcomes["mask"] += 1
-        else:
-            with pytest.raises(want):
-                close_and_fill(path, (h, w))
-            outcomes["error"] += 1
+        assert_same_outcome(outcome_with_message(close_and_fill, path, (h, w)), want)
+        outcomes["mask" if isinstance(want, np.ndarray) else "error"] += 1
     # both branches are exercised
+    assert min(outcomes.values()) > 40, outcomes
+
+
+def test_close_and_fill_matches_bfs_oracle_on_closed_curves():
+    # points along ellipses: dense ones step to 8-neighbours (set directly)
+    # or repeat a pixel, sparse ones jump (drawn by bresenham), and some
+    # ellipses leave the frame
+    rng = np.random.default_rng(20191021)
+    outcomes = {"mask": 0, "error": 0}
+    for _ in range(300):
+        h, w = (int(v) for v in rng.integers(6, 33, size=2))
+        cy, cx = rng.uniform(h / 4, 3 * h / 4), rng.uniform(w / 4, 3 * w / 4)
+        ry, rx = rng.uniform(1, h / 2), rng.uniform(1, w / 2)
+        t = np.sort(rng.uniform(0, 2 * np.pi, size=int(rng.integers(8, 90))))
+        path = [(int(round(cy + ry * np.sin(a))), int(round(cx + rx * np.cos(a)))) for a in t]
+        want = bfs_fill(path, (h, w))
+        assert_same_outcome(outcome_with_message(close_and_fill, path, (h, w)), want)
+        outcomes["mask" if isinstance(want, np.ndarray) else "error"] += 1
     assert min(outcomes.values()) > 40, outcomes
 
 
@@ -732,10 +817,7 @@ def test_brn_segment_matches_the_oracle_chain_on_phantoms(phantom_maps, tau):
 
 
 def test_brn_segment_matches_the_oracle_chain_on_a_fragmented_ring():
-    # three arcs: the fallback link radius joins them
-    dm = np.zeros((24, 24), dtype=np.float32)
-    dm[square_ring(24, 24, 4, 19)] = 1.0
-    dm[4, 10:12] = dm[12:14, 19] = dm[19, 8:10] = 0.0
+    dm = fragmented_ring_map()
     assert_same_outcome(outcome(brn_segment, dm, 0.6), oracle_brn_segment(dm, 0.6))
 
 
@@ -745,3 +827,64 @@ def test_brn_deterministic():
     a = brn_segment(dm)
     b = brn_segment(dm)
     assert np.array_equal(a, b)
+
+
+def whole_frame_brn(dmap, tau):
+    """The BRN chain on the whole frame, without the bounding-box crop."""
+    band = binarize(dmap, tau)
+    skel = thin(band)
+    graph = build_graph(skel, contour.DEFAULT_LINK_RADIUS)
+    if largest_component_fraction(graph) < 0.5:
+        graph = build_graph(skel, contour.FALLBACK_LINK_RADIUS)
+    return close_and_fill(mst_max_path(graph), dmap.shape)
+
+
+def clipped_disc_map(h, w, cy, cx, r):
+    """The ground-truth map of a disc, which may hang over the frame."""
+    return mask_to_distance_map(disk_mask(h, w, cy, cx, r))
+
+
+def two_rings_map():
+    """Two disjoint square rings of different sizes and levels."""
+    dm = np.zeros((48, 48), dtype=np.float32)
+    dm[square_ring(48, 48, 1, 30)] = 1.0
+    dm[square_ring(48, 48, 36, 44)] = 0.7
+    return dm
+
+
+@st.composite
+def band_maps(draw):
+    """Frames up to 64² holding one or two rings (round or square, 1 to 5
+    px wide, at levels the threshold may or may not keep) whose centres
+    may lie off the frame, so the bands touch borders and corners, cut by
+    up to four 2 px gaps that only the fallback link radius bridges."""
+    h, w = draw(st.integers(6, 64)), draw(st.integers(6, 64))
+    ii, jj = np.mgrid[0:h, 0:w]
+    dm = np.zeros((h, w), dtype=np.float32)
+    for _ in range(draw(st.integers(1, 2))):
+        cy, cx = draw(st.integers(-h // 4, h + h // 4)), draw(st.integers(-w // 4, w + w // 4))
+        r, width = draw(st.integers(3, 32)), draw(st.sampled_from([1, 1, 2, 3, 5]))
+        ay, ax = np.abs(ii - cy), np.abs(jj - cx)
+        dist = draw(st.sampled_from([np.hypot(ay, ax), np.maximum(ay, ax)]))
+        ring = (dist <= r) & (dist > r - width)
+        dm[ring] = np.maximum(dm[ring], draw(st.sampled_from([0.4, 0.7, 1.0])))
+    band = np.argwhere(dm > 0)
+    for _ in range(draw(st.integers(0, 4)) if len(band) else 0):
+        y, x = band[draw(st.integers(0, len(band) - 1))]
+        dm[y:y + 2, x:x + 2] = 0.0
+    return dm
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(band_maps(), st.sampled_from([0.2, 0.6]))
+@example(clipped_disc_map(40, 40, -3, -5, 20), 0.2)     # a corner
+@example(clipped_disc_map(40, 50, -6, 25, 18), 0.2)     # each edge
+@example(clipped_disc_map(40, 50, 46, 25, 18), 0.6)
+@example(clipped_disc_map(50, 40, 25, -6, 18), 0.2)
+@example(clipped_disc_map(50, 40, 25, 46, 18), 0.6)
+@example(two_rings_map(), 0.2)
+@example(two_rings_map(), 0.6)
+@example(fragmented_ring_map(), 0.6)
+def test_brn_segment_on_the_band_box_matches_the_whole_frame_chain(dmap, tau):
+    assert_same_outcome(outcome_with_message(brn_segment, dmap, tau),
+                        outcome_with_message(whole_frame_brn, dmap, tau))

@@ -26,10 +26,14 @@ checkout's `src`, this runs the same recipe in a fresh directory:
   scale and the odd pool sizes (321 -> 161 -> 81 -> 41, each with a
   partial last window) run forward;
 - `contour.brn_segment` at tau 0.2 and at the default tau on every
-  ground-truth distance map of both datasets, and on a ring cut into
-  three arcs, which only the fallback link radius joins.  Each writes its
-  mask, or the class of the error it raised.  The desk models' BRN
-  segments above mostly fail, so these runs are what check the contours.
+  ground-truth distance map of both datasets; on a ring cut into three
+  arcs, which only the fallback link radius joins; on the maps of discs
+  clipped by a frame corner and by each frame edge; and on two disjoint
+  rings of different sizes.  The clipped and the paired shapes are where
+  an error in cropping to the band's bounding box, or in pasting the
+  mask back, would show.  Each writes its mask, or the class and
+  message of the error it raised.  The desk models' BRN segments above
+  mostly fail, so these runs are what check the contours.
 
 Every file written and every command's exit code, stdout and stderr are
 kept.  The two output trees are then compared file by file; only the
@@ -74,6 +78,7 @@ BRN_CONTOURS = """\
 from pathlib import Path
 import numpy as np
 from boundseg import contour, errors, imgio, phantom
+from boundseg.distmap import mask_to_distance_map
 
 ring = np.zeros((24, 24), dtype=np.float32)
 ring[4, 4:20] = ring[19, 4:20] = ring[4:20, 4] = ring[4:20, 19] = 1.0
@@ -82,6 +87,15 @@ maps = [(f"{root}-{rec.id}", imgio.read_fmap(rec.dmap))
         for root in ("d64", "ref")
         for rec in phantom.read_manifest(Path(root) / "manifest.tsv")]
 maps.append(("fragmented-ring", ring))
+ii, jj = np.mgrid[0:80, 0:96]
+for name, cy, cx, r in [("corner", -5, -7, 38), ("top", -9, 50, 30), ("bottom", 88, 40, 30),
+                        ("left", 40, -9, 28), ("right", 36, 104, 28)]:
+    disc = (np.hypot(ii - cy, jj - cx) <= r).astype(np.uint8)
+    maps.append((f"disc-{name}", mask_to_distance_map(disc)))
+rings = np.hypot(ii - 30, jj - 28) <= 22
+rings ^= np.hypot(ii - 30, jj - 28) <= 18
+rings |= (np.hypot(ii - 62, jj - 78) <= 9) & (np.hypot(ii - 62, jj - 78) > 6)
+maps.append(("two-rings", rings.astype(np.float32)))
 out = Path("brn")
 out.mkdir()
 for name, dmap in maps:
@@ -89,7 +103,7 @@ for name, dmap in maps:
         try:
             mask = contour.brn_segment(dmap, tau=tau)
         except errors.BoundsegError as e:
-            (out / f"{name}-tau{tau}.txt").write_text(type(e).__name__ + "\\n",
+            (out / f"{name}-tau{tau}.txt").write_text(f"{type(e).__name__}: {e}\\n",
                                                       encoding="utf-8")
         else:
             imgio.write_pgm(out / f"{name}-tau{tau}.pgm", mask)
