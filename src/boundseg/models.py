@@ -6,6 +6,9 @@ resolution through two atrous blocks; each head upsamples with exactly
 three stride-2 transposed convolutions and is center-cropped back to the
 input size.  The classifier consumes the regression head's output (not
 the image), so both losses drive the encoder and regression head.
+`SegmentationModel.predict` runs the encoder and head alone, and
+`forward` adds the classifier; the classifier runs only where its
+logits are read, so lambda = 1 training and `predict_dmap` never run it.
 """
 
 from __future__ import annotations
@@ -184,27 +187,6 @@ def brn_training_schedule(total_epochs: int = 60) -> LossSchedule:
     return LossSchedule(1.0, 1.0, total_epochs)
 
 
-def shape_plan(config: PipelineConfig) -> dict:
-    """Spatial sizes at each pipeline stage, from pure shape arithmetic."""
-    h, w = config.input_size
-
-    def pooled(s: int) -> int:
-        return math.ceil((s - 2) / 2) + 1  # window 2, stride 2, ceil mode
-
-    stages = [(h, w)]
-    for pool in config.encoder.pools:
-        if pool:
-            h, w = pooled(h), pooled(w)
-        stages.append((h, w))
-    feats = (h, w)
-    deconvs = []
-    for _ in range(3):
-        h, w = 2 * h, 2 * w  # k=4, s=2, p=1
-        deconvs.append((h, w))
-    return {"encoder": stages, "features": feats, "deconvs": deconvs,
-            "head_raw": deconvs[-1], "output": config.input_size}
-
-
 # ---------------------------------------------------------------------------
 # model assembly
 
@@ -294,8 +276,9 @@ class SegmentationModel:
 
     # -- forward / backward -------------------------------------------------
 
-    def forward(self, x: np.ndarray, keep: bool = True) -> tuple[np.ndarray, np.ndarray]:
-        """x is (n, in_channels, h, w); returns (pred_dmap, logits).
+    def predict(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
+        """x is (n, in_channels, h, w); returns the predicted distance map
+        from the encoder and regression head, without the classifier.
 
         keep=True saves what one `backward` needs; inference passes
         keep=False, and no layer then holds an activation."""
@@ -305,7 +288,11 @@ class SegmentationModel:
             raise ShapeMismatch(
                 f"input {x.shape} does not match config "
                 f"(n, {self.config.encoder.in_channels}, {h}, {w})")
-        pred = self.head.forward(self.encoder.forward(x, keep), keep)
+        return self.head.forward(self.encoder.forward(x, keep), keep)
+
+    def forward(self, x: np.ndarray, keep: bool = True) -> tuple[np.ndarray, np.ndarray]:
+        """`predict`, then the classifier on its map: (pred_dmap, logits)."""
+        pred = self.predict(x, keep)
         return pred, self.classifier.forward(pred, keep)
 
     def backward(self, g_pred: np.ndarray | None,
@@ -313,14 +300,13 @@ class SegmentationModel:
         """Accumulate parameter gradients; either cotangent may be None.
         Gradients from the classifier flow through the predicted map into
         the regression head and encoder (end-to-end).  Consumes what the
-        last forward(keep=True) saved, the classifier's too when g_logits
-        is None."""
+        last `predict`/`forward` with keep=True saved; the classifier's
+        part only when g_logits is given, so a map-only step pairs
+        `predict` with `backward(g_pred, None)`."""
         if g_pred is None and g_logits is None:
             raise ShapeMismatch("backward needs at least one cotangent")
-        if g_logits is None:
-            self.classifier.forget()
-            total = g_pred
-        else:
+        total = g_pred
+        if g_logits is not None:
             total = self.classifier.backward(g_logits)
             if g_pred is not None:
                 total = total + g_pred
@@ -347,13 +333,14 @@ class Objective(NamedTuple):
 
 
 def objective(pred_dmap: np.ndarray, gt_dmap: np.ndarray | None,
-              logits: np.ndarray, gt_mask: np.ndarray, lam: float) -> Objective:
+              logits: np.ndarray | None, gt_mask: np.ndarray, lam: float) -> Objective:
     """lambda * l2(pred, gt map) + (1 - lambda) * softmax CE(logits, mask),
     its two terms, and the cotangents `SegmentationModel.backward` takes.
 
     A term whose weight is 0 is not evaluated: it reads 0.0 and its
-    cotangent is None, so `gt_dmap` may be None at lambda 0.  The
-    cotangents keep the dtype of the arrays (lambda is a Python float)."""
+    cotangent is None, so `gt_dmap` may be None at lambda 0 and `logits`
+    at lambda 1.  The cotangents keep the dtype of the arrays (lambda is a
+    Python float)."""
     if not 0.0 <= lam <= 1.0:
         raise InvalidParams(f"lambda {lam} outside [0, 1]")
     l2 = ce = 0.0
@@ -440,7 +427,8 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
         l2_sum = ce_sum = 0.0
         for b, start in enumerate(range(0, n, batch_size)):
             idx = order[start : start + batch_size]
-            pred, logits = model.forward(x_all[idx])
+            x = x_all[idx]
+            pred, logits = model.forward(x) if lam < 1.0 else (model.predict(x), None)
             out = objective(pred, d_all[idx] if lam > 0.0 else None, logits, m_all[idx],
                             lam)
             if not math.isfinite(out.total):
@@ -529,15 +517,13 @@ def segment(img: np.ndarray, model: SegmentationModel) -> np.ndarray:
     return segment_batch(np.asarray(img)[None], model)[0]
 
 
-def predict_dmap(img: np.ndarray, model: SegmentationModel,
-                 raw: bool = False) -> np.ndarray:
-    """Regression-head output for one image, clamped to [0, 1] unless
-    `raw` asks for the unclamped values."""
+def predict_dmap(img: np.ndarray, model: SegmentationModel) -> np.ndarray:
+    """Regression-head output for one image, clamped to [0, 1]; the
+    classifier does not run."""
     if np.asarray(img).ndim != 2:
         raise ShapeMismatch(f"expected a single (h, w) image, got {np.asarray(img).shape}")
-    pred, _ = model.forward(pseudo_color(np.asarray(img)[None], model.dtype), keep=False)
-    out = pred[0, 0]
-    return out if raw else np.clip(out, 0.0, 1.0)
+    pred = model.predict(pseudo_color(np.asarray(img)[None], model.dtype), keep=False)
+    return np.clip(pred[0, 0], 0.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

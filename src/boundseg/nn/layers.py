@@ -91,10 +91,6 @@ class Layer:
     def backward(self, gy: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def forget(self) -> None:
-        """Drop what forward saved, for a backward that will not run."""
-        self._saved = None
-
     def _take(self):
         """What the last forward(keep=True) saved; no layer holds it after."""
         saved, self._saved = self._saved, None
@@ -196,10 +192,6 @@ class Sequential(Layer):
         for layer in reversed(self.layers):
             gy = layer.backward(gy)
         return gy
-
-    def forget(self):
-        for layer in self.layers:
-            layer.forget()
 
     def params(self):
         out = []

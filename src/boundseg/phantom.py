@@ -290,6 +290,8 @@ def make_dataset(out_dir, n_train: int, n_test: int, seed: int,
     """
     if n_train < 1 or n_test < 1:
         raise InvalidParams("need at least one sample per split")
+    if augment < 0:
+        raise InvalidParams(f"augment must be >= 0, got {augment}")
     check_seed(seed)
     out = Path(out_dir)
     try:

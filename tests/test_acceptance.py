@@ -41,9 +41,7 @@ from boundseg.models import (
     objective,
     predict_dmap,
     pseudo_color,
-    reference_config,
     segment_batch,
-    shape_plan,
     train,
 )
 from boundseg.nn import numeric_gradient, ops, relative_error
@@ -211,13 +209,7 @@ def test_criterion_1_gradient_fidelity():
 # ---------------------------------------------------------------------------
 # criterion 2: shape contract
 
-def test_criterion_2_shape_contract():
-    plan = shape_plan(reference_config())
-    plan_ok = (plan["features"] == (41, 41)
-               and plan["deconvs"] == [(82, 82), (164, 164), (328, 328)]
-               and plan["head_raw"] == (328, 328)
-               and plan["output"] == (321, 321))
-
+def test_criterion_2_shape_contract(stage_sizes):
     # real forward at reduced channel width, same topology
     cfg = PipelineConfig(
         input_size=(321, 321),
@@ -225,6 +217,12 @@ def test_criterion_2_shape_contract():
         head=HeadSpec(project=2, deconv_widths=(2, 2, 2)),
         classifier=ClassifierSpec(widths=(2, 2)))
     model = SegmentationModel(cfg, seed=0)
+    plan = stage_sizes(model)
+    plan_ok = (plan["features"] == (41, 41)
+               and plan["deconvs"] == [(82, 82), (164, 164), (328, 328)]
+               and plan["head_raw"] == (328, 328)
+               and plan["output"] == (321, 321))
+
     x = pseudo_color(np.random.default_rng(0).random((1, 321, 321)))
     feats = model.encoder.forward(x)
     pred, logits = model.forward(x)

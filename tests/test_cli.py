@@ -177,6 +177,14 @@ def test_gen_range_override_and_rejection(tmp_path):
                  "--n-test", "1", "--range", "notch=0.5,0.1"]) == EXIT_DATA
 
 
+def test_gen_negative_augment_is_data_error(tmp_path):
+    res = run_cli("gen", "--out", tmp_path / "d", "--n-train", "1", "--n-test", "1",
+                  "--augment", "-2")
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert "InvalidParams: augment must be >= 0, got -2" in res.stderr
+
+
 # ---------------------------------------------------------------------------
 # distmap
 

@@ -83,9 +83,15 @@ def test_relu_output_is_the_next_layers_input(name):
 @pytest.mark.parametrize("name", sorted(CONFIGS))
 @pytest.mark.parametrize("cotangents", ["both", "pred_only", "logits_only"])
 def test_backward_leaves_no_layer_holding_anything(name, cotangents):
+    # a map-only step runs `predict`, as training at lambda = 1 does
     model = SegmentationModel(CONFIGS[name](), seed=1)
-    pred, logits = model.forward(forward_input(model))
-    assert all(layer._saved is not None for layer in leaf_layers(model))
+    if cotangents == "pred_only":
+        pred, logits = model.predict(forward_input(model)), None
+        ran = model.encoder.layers + model.head.layers
+    else:
+        pred, logits = model.forward(forward_input(model))
+        ran = leaf_layers(model)
+    assert all(layer._saved is not None for layer in ran)
     g_pred = None if cotangents == "logits_only" else np.ones_like(pred)
     g_logits = None if cotangents == "pred_only" else np.ones_like(logits)
     model.backward(g_pred, g_logits)
@@ -99,7 +105,7 @@ def test_inference_keeps_nothing(name):
     imgs = np.random.default_rng(2).random((2, h, w)).astype(np.float32)
     segment_batch(imgs, model)
     assert all(layer._saved is None for layer in leaf_layers(model))
-    predict_dmap(imgs[0], model, raw=True)
+    predict_dmap(imgs[0], model)
     assert all(layer._saved is None for layer in leaf_layers(model))
 
 
@@ -184,6 +190,15 @@ def test_layer_backward_without_a_saved_forward_is_shape_mismatch(kind):
         layer.backward(gy)  # the first backward consumed the cache
     leaf = layer.layers[-1] if kind == "Sequential" else layer
     assert type(leaf).__name__ in str(err.value)
+
+
+def test_model_backward_after_predict_has_no_classifier_to_consume():
+    model = SegmentationModel(small_mirrored_config(), seed=0)
+    x = forward_input(model, n=1)
+    _, logits = model.forward(x, keep=False)
+    model.predict(x)
+    with pytest.raises(ShapeMismatch, match="nothing to consume"):
+        model.backward(None, np.ones_like(logits))
 
 
 def test_model_backward_without_a_saved_forward_is_shape_mismatch():

@@ -32,11 +32,17 @@ from boundseg.models import (
     save_model,
     segment,
     segment_batch,
-    shape_plan,
     train,
     write_training_log,
 )
-from boundseg.nn import load_checkpoint, numeric_gradient, ops, relative_error, save_checkpoint
+from boundseg.nn import (
+    Sequential,
+    load_checkpoint,
+    numeric_gradient,
+    ops,
+    relative_error,
+    save_checkpoint,
+)
 from boundseg.phantom import make_dataset, read_manifest
 
 
@@ -95,29 +101,32 @@ def test_schedule_linear_and_monotone():
 # ---------------------------------------------------------------------------
 # shape contracts
 
-def test_desk_shape_plan():
-    plan = shape_plan(desk_config())
+def thin_widths(size: int) -> PipelineConfig:
+    """The desk and reference topology (pools, dilations, kernels) at
+    2-channel widths, so that a 321x321 forward actually runs."""
+    return PipelineConfig(
+        input_size=(size, size),
+        encoder=EncoderSpec(widths=(2, 2, 2, 2, 2)),
+        head=HeadSpec(project=2, deconv_widths=(2, 2, 2)),
+        classifier=ClassifierSpec(widths=(2, 2)))
+
+
+def test_desk_shape_plan(stage_sizes):
+    plan = stage_sizes(SegmentationModel(thin_widths(64), seed=0))
     assert plan["features"] == (8, 8)
     assert plan["deconvs"] == [(16, 16), (32, 32), (64, 64)]
     assert plan["head_raw"] == plan["output"] == (64, 64)  # no crop needed
 
 
-def test_reference_shape_plan():
-    plan = shape_plan(reference_config())
+def test_reference_shape_plan(stage_sizes):
+    plan = stage_sizes(SegmentationModel(thin_widths(321), seed=0))
     assert plan["features"] == (41, 41)
     assert plan["deconvs"] == [(82, 82), (164, 164), (328, 328)]
     assert plan["output"] == (321, 321)  # center-crop 328 -> 321
 
 
 def test_reference_topology_forward_with_thin_widths():
-    # Same pools/dilations/kernels as the reference config, but 2-channel
-    # widths so the 321x321 forward pass actually runs.
-    cfg = PipelineConfig(
-        input_size=(321, 321),
-        encoder=EncoderSpec(widths=(2, 2, 2, 2, 2)),
-        head=HeadSpec(project=2, deconv_widths=(2, 2, 2)),
-        classifier=ClassifierSpec(widths=(2, 2)))
-    model = SegmentationModel(cfg, seed=0)
+    model = SegmentationModel(thin_widths(321), seed=0)
     x = pseudo_color(np.random.default_rng(0).random((1, 321, 321)))
     pred, logits = model.forward(x)
     assert pred.shape == (1, 1, 321, 321)
@@ -300,6 +309,21 @@ def test_lambda_one_leaves_classifier_bit_unchanged(small_dataset):
             assert not np.array_equal(p.data, before[name]), name
 
 
+def test_lambda_one_runs_the_classifier_only_in_validation(small_dataset, monkeypatch):
+    keeps = []
+    forward = Sequential.forward
+
+    def spy(self, x, keep=True):
+        if self.name == "classifier":
+            keeps.append(keep)
+        return forward(self, x, keep)
+
+    monkeypatch.setattr(Sequential, "forward", spy)
+    train(small_dataset, tiny_config(64, 64), LossSchedule(1.0, 1.0, 2),
+          lr=0.05, batch_size=2, seed=5)
+    assert keeps == [False, False]  # one validation pass per epoch
+
+
 @pytest.mark.parametrize("lam", [(1.0, 1.0), (0.9, 0.1), (0.0, 0.0)])
 def test_train_releases_every_gradient(small_dataset, lam):
     model, _ = train(small_dataset, tiny_config(64, 64), LossSchedule(*lam, 2),
@@ -465,9 +489,26 @@ def test_predict_dmap_clamped_and_raw():
     out = predict_dmap(img, model)
     assert out.shape == (16, 16)
     assert out.min() >= 0.0 and out.max() <= 1.0
-    raw = predict_dmap(img, model, raw=True)
+    raw = model.predict(pseudo_color(img[None]), keep=False)[0, 0]
     assert np.isfinite(raw).all()
     assert np.array_equal(out, np.clip(raw, 0.0, 1.0))
+
+
+def test_predict_is_forwards_map():
+    model = SegmentationModel(tiny_config(), seed=8)
+    x = pseudo_color(np.random.default_rng(7).random((2, 16, 16)))
+    pred, _ = model.forward(x, keep=False)
+    assert np.array_equal(model.predict(x, keep=False), pred)
+
+
+def test_predict_dmap_never_runs_the_classifier(monkeypatch):
+    model = SegmentationModel(tiny_config(), seed=8)
+
+    def refuse(x, keep=True):
+        raise AssertionError("classifier ran")
+
+    monkeypatch.setattr(model.classifier, "forward", refuse)
+    assert predict_dmap(np.zeros((16, 16), np.float32), model).shape == (16, 16)
 
 
 def test_segment_batch_matches_single():

@@ -338,6 +338,12 @@ def test_make_dataset_rejects_empty_split(tmp_path):
         make_dataset(tmp_path / "ds", n_train=0, n_test=1, seed=0)
 
 
+def test_make_dataset_rejects_negative_augment(tmp_path):
+    with pytest.raises(InvalidParams, match="augment must be >= 0, got -2"):
+        make_dataset(tmp_path / "ds", n_train=1, n_test=1, seed=0, augment=-2)
+    assert not (tmp_path / "ds").exists()
+
+
 def test_negative_index_is_invalid_params():
     with pytest.raises(InvalidParams, match="sample index"):
         generate_sample((64, 64), 0, -1)
