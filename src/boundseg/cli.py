@@ -1,7 +1,8 @@
 """Operator-facing command line: gen / distmap / train / segment / eval.
 
-Heavy imports are deferred into the subcommand handlers so that the
---threads flag can pin BLAS thread pools before numpy is loaded.
+`config`, all the parser needs, imports no numpy, and heavy imports are
+deferred into the subcommand handlers, so the --threads flag can pin BLAS
+thread pools before numpy is loaded.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
 Log verbosity is taken from the BOUNDSEG_LOG environment variable
@@ -18,6 +19,8 @@ import sys
 import time
 from pathlib import Path
 
+from .config import DEFAULT_LINK_RADIUS, DEFAULT_TAU, TRAIN_CONFIG_DEFAULTS, read_train_config
+
 log = logging.getLogger("boundseg")
 
 EXIT_OK = 0
@@ -32,26 +35,6 @@ _THREAD_ENV = (
     "NUMEXPR_NUM_THREADS",
     "VECLIB_MAXIMUM_THREADS",
 )
-
-# Every knob a training config file may set, with its default.  Unknown
-# keys are rejected.  Lists are comma-separated; booleans true/false.
-TRAIN_CONFIG_DEFAULTS = {
-    "input_size": "64",
-    "encoder_widths": "16,32,64,64,64",
-    "encoder_pools": "1,1,1,0,0",
-    "encoder_dilations": "1,1,1,2,4",
-    "head_project": "128",
-    "head_deconv_widths": "64,32,16",
-    "classifier_widths": "16,16",
-    "classifier_mirror": "false",
-    "lambda_start": "0.9",
-    "lambda_end": "0.1",
-    "epochs": "60",
-    "lr": "0.1",
-    "momentum": "0.9",
-    "batch_size": "4",
-    "seed": "0",
-}
 
 
 def _setup_logging() -> None:
@@ -77,107 +60,19 @@ def _log_resolved(args: argparse.Namespace) -> None:
 
 
 # ---------------------------------------------------------------------------
-# training config files
-
-def _parse_int_list(text: str) -> tuple:
-    return tuple(int(tok) for tok in text.split(","))
-
-
-def _parse_bool(text: str) -> bool:
-    from .errors import InvalidParams
-
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise InvalidParams(f"expected a boolean, got {text!r}")
-
-
-def read_train_config(path):
-    """Parse a key=value training config file into
-    (PipelineConfig, LossSchedule, hyperparameter dict)."""
-    from .errors import InvalidParams, opened
-    from .models import (
-        ClassifierSpec,
-        EncoderSpec,
-        HeadSpec,
-        LossSchedule,
-        PipelineConfig,
-    )
-
-    values = dict(TRAIN_CONFIG_DEFAULTS)
-    with opened(path, "r", "config") as f:
-        text = f.read()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise InvalidParams(f"{path}:{lineno}: expected key = value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in values:
-            raise InvalidParams(f"{path}:{lineno}: unknown config key {key!r}")
-        values[key] = val.strip()
-
-    try:
-        size = _parse_int_list(values["input_size"])
-        if len(size) == 1:
-            size = (size[0], size[0])
-        config = PipelineConfig(
-            input_size=size,
-            encoder=EncoderSpec(
-                widths=_parse_int_list(values["encoder_widths"]),
-                pools=tuple(bool(v) for v in _parse_int_list(values["encoder_pools"])),
-                dilations=_parse_int_list(values["encoder_dilations"]),
-            ),
-            head=HeadSpec(
-                project=int(values["head_project"]),
-                deconv_widths=_parse_int_list(values["head_deconv_widths"]),
-            ),
-            classifier=ClassifierSpec(
-                widths=_parse_int_list(values["classifier_widths"]),
-                mirror=_parse_bool(values["classifier_mirror"]),
-            ),
-        )
-        schedule = LossSchedule(
-            lambda_start=float(values["lambda_start"]),
-            lambda_end=float(values["lambda_end"]),
-            total_epochs=int(values["epochs"]),
-        )
-        hypers = {
-            "lr": float(values["lr"]),
-            "momentum": float(values["momentum"]),
-            "batch_size": int(values["batch_size"]),
-            "seed": int(values["seed"]),
-        }
-    except ValueError as exc:
-        raise InvalidParams(f"{path}: bad value: {exc}") from exc
-    return config, schedule, hypers
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 def cmd_gen(args) -> int:
     from .errors import InvalidParams
-    from .phantom import DEFAULT_RANGES, make_dataset, read_manifest
+    from .phantom import make_dataset, read_manifest
 
-    ranges = dict(DEFAULT_RANGES)
+    ranges = {}
     for spec in args.range or []:
-        if "=" not in spec:
-            raise InvalidParams(f"--range expects KEY=LO,HI, got {spec!r}")
         key, _, val = spec.partition("=")
-        if key not in DEFAULT_RANGES:
-            raise InvalidParams(
-                f"unknown range {key!r} (choices: {', '.join(sorted(DEFAULT_RANGES))})")
         try:
             lo, hi = (float(tok) for tok in val.split(","))
         except ValueError as exc:
-            raise InvalidParams(f"--range {key}: expected LO,HI floats") from exc
-        if not lo <= hi:
-            raise InvalidParams(f"--range {key}: need LO <= HI, got {lo},{hi}")
+            raise InvalidParams(f"--range expects KEY=LO,HI floats, got {spec!r}") from exc
         ranges[key] = (lo, hi)
 
     manifest = make_dataset(
@@ -353,11 +248,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output mask (PGM)")
     p.add_argument("--mode", choices=("classifier", "brn"), default="classifier",
                    help="classifier head or distance-map contour reconstruction")
-    p.add_argument("--tau", type=float, default=None,
-                   help="BRN threshold (default: module default)")
-    p.add_argument("--link-radius", type=float, default=None,
+    p.add_argument("--tau", type=float, default=DEFAULT_TAU,
+                   help="BRN threshold (default %(default)s)")
+    p.add_argument("--link-radius", type=float, default=DEFAULT_LINK_RADIUS,
                    help="BRN site-linking radius in pixels, finite and >= 1 "
-                        "(default: module default)")
+                        "(default %(default)s)")
     p.add_argument("--overlay", default=None,
                    help="optional triptych PGM (image | boundary | mask)")
     p.set_defaults(func=cmd_segment)
@@ -385,15 +280,6 @@ def main(argv=None) -> int:
 
     from .errors import DataError, NumericError
 
-    if args.command == "segment":
-        # Late defaults: pulling them from the contour module here keeps
-        # numpy out of the parser.
-        from .contour import DEFAULT_LINK_RADIUS, DEFAULT_TAU
-
-        if args.tau is None:
-            args.tau = DEFAULT_TAU
-        if args.link_radius is None:
-            args.link_radius = DEFAULT_LINK_RADIUS
     _log_resolved(args)
 
     try:

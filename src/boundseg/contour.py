@@ -46,10 +46,9 @@ from functools import cached_property
 import numpy as np
 from scipy import ndimage
 
+from .config import DEFAULT_LINK_RADIUS, DEFAULT_TAU
 from .errors import DegenerateContour, EmptyResult, InvalidParams, OpenRegion
 
-DEFAULT_TAU = 0.6
-DEFAULT_LINK_RADIUS = 1.5
 FALLBACK_LINK_RADIUS = 3.0
 MIN_PATH_VERTICES = 8
 

@@ -16,12 +16,16 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import asdict, dataclass, fields, is_dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from .config import (  # the schema is part of this module's API too
+    DOWNSAMPLE_FACTOR, ClassifierSpec, EncoderSpec, HeadSpec, LossSchedule, PipelineConfig,
+    _check_type, _from_dict, brn_training_schedule, desk_config, reference_config,
+)
 from .errors import (
     DivergedTraining,
     InvalidParams,
@@ -48,143 +52,7 @@ from .phantom import check_seed, read_manifest
 
 logger = logging.getLogger("boundseg")
 
-DOWNSAMPLE_FACTOR = 8
 DECONV_KERNEL = 4  # k=4, s=2, p=1 doubles the spatial size exactly
-
-
-# ---------------------------------------------------------------------------
-# configuration
-
-def _check_type(what: str, kind: type, *values) -> None:
-    """Sizes are exactly int and switches exactly bool: a float width fails
-    deep in the engine, and a string switch is silently truthy."""
-    for v in values:
-        if type(v) is not kind:
-            raise InvalidParams(f"{what} must be {kind.__name__}, got {v!r}")
-
-
-@dataclass(frozen=True)
-class EncoderSpec:
-    """Stack of 3x3 conv blocks; pooled blocks halve resolution (ceil),
-    later blocks keep it with atrous dilation."""
-
-    in_channels: int = 3
-    widths: tuple[int, ...] = (16, 32, 64, 64, 64)
-    pools: tuple[bool, ...] = (True, True, True, False, False)
-    dilations: tuple[int, ...] = (1, 1, 1, 2, 4)
-
-    def __post_init__(self):
-        _check_type("encoder sizes", int, self.in_channels, *self.widths, *self.dilations)
-        _check_type("encoder pools", bool, *self.pools)
-        if not (len(self.widths) == len(self.pools) == len(self.dilations)):
-            raise InvalidParams("encoder widths/pools/dilations lengths differ")
-        if sum(self.pools) != 3:
-            raise InvalidParams(
-                f"encoder needs exactly 3 pooling stages for the x{DOWNSAMPLE_FACTOR} "
-                f"downsampling factor, got {sum(self.pools)}")
-        if any(d < 1 for d in self.dilations) or any(w < 1 for w in self.widths):
-            raise InvalidParams("encoder widths and dilations must be >= 1")
-
-
-@dataclass(frozen=True)
-class HeadSpec:
-    """1x1 projection, three stride-2 deconvs, 1x1 linear output."""
-
-    project: int = 128
-    deconv_widths: tuple[int, int, int] = (64, 32, 16)
-    out_channels: int = 1
-
-    def __post_init__(self):
-        _check_type("head widths", int, self.project, *self.deconv_widths,
-                    self.out_channels)
-        if len(self.deconv_widths) != 3:
-            raise InvalidParams(
-                f"head needs exactly 3 stride-2 deconv layers, "
-                f"got {len(self.deconv_widths)}")
-        if self.project < 1 or self.out_channels < 1 or min(self.deconv_widths) < 1:
-            raise InvalidParams("head widths must be >= 1")
-
-
-@dataclass(frozen=True)
-class ClassifierSpec:
-    """Two 3x3 conv layers (ReLU) then 1x1 conv to 2 channels, run at
-    full resolution on the predicted map; `mirror` swaps in the full
-    encoder+head architecture instead."""
-
-    widths: tuple[int, ...] = (16, 16)
-    dilations: tuple[int, ...] | None = None
-    mirror: bool = False
-
-    def __post_init__(self):
-        _check_type("classifier sizes", int, *self.widths, *(self.dilations or ()))
-        _check_type("classifier mirror", bool, self.mirror)
-        if self.dilations is not None and len(self.dilations) != len(self.widths):
-            raise InvalidParams("classifier dilations must match widths")
-        if min(self.widths, default=1) < 1:
-            raise InvalidParams("classifier widths must be >= 1")
-
-
-@dataclass(frozen=True)
-class PipelineConfig:
-    input_size: tuple[int, int] = (64, 64)
-    encoder: EncoderSpec = EncoderSpec()
-    head: HeadSpec = HeadSpec()
-    classifier: ClassifierSpec = ClassifierSpec()
-
-    def __post_init__(self):
-        h, w = self.input_size
-        _check_type("input size", int, h, w)
-        if h < 16 or w < 16:
-            raise InvalidParams(f"input size {h}x{w} too small (need >= 16)")
-
-
-@dataclass(frozen=True)
-class LossSchedule:
-    """Per-epoch loss weight: lambda * l2 + (1 - lambda) * cross-entropy,
-    interpolated linearly from start to end over the run."""
-
-    lambda_start: float = 0.9
-    lambda_end: float = 0.1
-    total_epochs: int = 60
-
-    def __post_init__(self):
-        for v in (self.lambda_start, self.lambda_end):
-            if not 0.0 <= v <= 1.0:
-                raise InvalidParams(f"lambda {v} outside [0, 1]")
-        if self.lambda_start < self.lambda_end:
-            raise InvalidParams("lambda must not increase over training")
-        _check_type("total epochs", int, self.total_epochs)
-        if self.total_epochs < 1:
-            raise InvalidParams("need at least one epoch")
-
-    def lambda_at(self, epoch: int) -> float:
-        if self.total_epochs == 1:
-            return self.lambda_start
-        t = epoch / (self.total_epochs - 1)
-        lam = self.lambda_start + (self.lambda_end - self.lambda_start) * t
-        return min(1.0, max(0.0, lam))
-
-
-def desk_config() -> PipelineConfig:
-    """Small configuration that trains in minutes on a CPU."""
-    return PipelineConfig()
-
-
-def reference_config() -> PipelineConfig:
-    """Full-scale topology: 321x321 inputs, 41x41x1024 features, and a
-    mirrored classifier."""
-    return PipelineConfig(
-        input_size=(321, 321),
-        encoder=EncoderSpec(widths=(64, 128, 256, 512, 1024)),
-        head=HeadSpec(project=256, deconv_widths=(128, 64, 32)),
-        classifier=ClassifierSpec(mirror=True),
-    )
-
-
-def brn_training_schedule(total_epochs: int = 60) -> LossSchedule:
-    """Regression-only training (lambda pinned at 1): the standalone
-    boundary regression network used as the BRN baseline."""
-    return LossSchedule(1.0, 1.0, total_epochs)
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +267,9 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
     _check_type("batch_size", int, batch_size)
     if batch_size < 1:
         raise InvalidParams(f"batch_size must be >= 1, got {batch_size}")
+    if not (0.0 <= lr < math.inf and 0.0 <= momentum < 1.0):
+        raise InvalidParams(f"need a finite lr >= 0 and a momentum in [0, 1), "
+                            f"got lr {lr}, momentum {momentum}")
     records = manifest if isinstance(manifest, list) else read_manifest(manifest)
     model = SegmentationModel(config, seed=seed)
     dtype = model.dtype
@@ -531,18 +402,6 @@ def predict_dmap(img: np.ndarray, model: SegmentationModel) -> np.ndarray:
 
 def _sidecar(path) -> Path:
     return Path(path).with_suffix(".json")
-
-
-def _from_dict(cls, d):
-    """The inverse of `asdict` on the config dataclasses: a field whose
-    default is a dataclass is read as one, and JSON lists become tuples."""
-    values = {}
-    for f in fields(cls):
-        v = d[f.name]
-        if is_dataclass(f.default):
-            v = _from_dict(type(f.default), v)
-        values[f.name] = tuple(v) if isinstance(v, list) else v
-    return cls(**values)
 
 
 def _read_sidecar(sidecar: Path) -> PipelineConfig:

@@ -18,6 +18,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
+from .config import _check_type
 from .distmap import boundary_pixels, euclidean_dt, mask_to_distance_map
 from .errors import EmptyMask, InvalidParams, IoFailure, ShapeMismatch, opened
 from .imgio import write_fmap, write_pgm
@@ -214,6 +215,17 @@ DEFAULT_RANGES = {
 }
 
 
+def _merged_ranges(ranges: dict | None) -> dict:
+    """DEFAULT_RANGES updated from `ranges`.  An unknown key, or a range a
+    uniform draw cannot take (LO > HI, or HI - LO not finite), is InvalidParams."""
+    for key, (lo, hi) in (ranges or {}).items():
+        if key not in DEFAULT_RANGES:
+            raise InvalidParams(f"unknown range {key!r} (choices: {', '.join(DEFAULT_RANGES)})")
+        if not (lo <= hi and math.isfinite(hi - lo)):
+            raise InvalidParams(f"range {key}: need LO <= HI with HI - LO finite, got {lo},{hi}")
+    return {**DEFAULT_RANGES, **(ranges or {})}
+
+
 def _draw_params(frame: tuple[int, int], sample_seed: int,
                  draw_rng: np.random.Generator, ranges: dict) -> PhantomParams:
     h, w = frame
@@ -242,14 +254,13 @@ def generate_sample(frame: tuple[int, int], seed: int, index: int,
     """Draw-and-render sample `index` of the stream rooted at `seed`.
 
     Retries invalid geometry within the sample's own stream, so the result
-    depends only on (frame, seed, index).
+    depends only on (frame, seed, index).  `ranges` overrides some of
+    DEFAULT_RANGES; see `_merged_ranges` for what it rejects.
     """
     check_seed(seed)
     if index < 0:
         raise InvalidParams(f"sample index must be >= 0, got {index}")
-    merged = dict(DEFAULT_RANGES)
-    if ranges:
-        merged.update(ranges)
+    merged = _merged_ranges(ranges)
     draw_rng = np.random.default_rng((seed, index))
     last_err = None
     for _ in range(MAX_DRAW_ATTEMPTS):
@@ -286,13 +297,16 @@ def make_dataset(out_dir, n_train: int, n_test: int, seed: int,
     """Write images, masks, and ground-truth distance maps plus a manifest.
 
     Per-sample seeds are seed + index, so any sample can be regenerated
-    in isolation; identical seeds give byte-identical trees.
+    in isolation; identical seeds give byte-identical trees.  The
+    counts, the seed and the ranges are checked before any directory is made.
     """
+    _check_type("n_train, n_test and augment", int, n_train, n_test, augment)
     if n_train < 1 or n_test < 1:
         raise InvalidParams("need at least one sample per split")
     if augment < 0:
         raise InvalidParams(f"augment must be >= 0, got {augment}")
     check_seed(seed)
+    ranges = _merged_ranges(ranges)
     out = Path(out_dir)
     try:
         for sub in ("images", "masks", "dmaps"):

@@ -24,7 +24,14 @@ from boundseg.distmap import mask_to_distance_map
 from boundseg.errors import InvalidParams
 from boundseg.imgio import read_fmap, read_pgm_mask, write_pgm
 from boundseg.metrics import read_report
-from boundseg.models import LossSchedule
+from boundseg.models import (
+    ClassifierSpec,
+    EncoderSpec,
+    HeadSpec,
+    LossSchedule,
+    PipelineConfig,
+    desk_config,
+)
 
 
 def run_cli(*argv, env=None):
@@ -93,6 +100,15 @@ def test_train_help_lists_every_config_key_and_default():
         assert f"{key}={default}" in text
 
 
+def test_segment_help_shows_the_brn_defaults():
+    res = run_cli("segment", "--help")
+    assert res.returncode == 0
+    text = " ".join(res.stdout.split())
+    assert f"BRN threshold (default {DEFAULT_TAU})" in text
+    assert f"(default {DEFAULT_LINK_RADIUS})" in text
+    assert (DEFAULT_TAU, DEFAULT_LINK_RADIUS) == (0.6, 1.5)
+
+
 def test_unknown_flag_exits_nonzero():
     res = run_cli("gen", "--out", "x", "--n-train", "1", "--n-test", "1",
                   "--frobnicate")
@@ -112,15 +128,70 @@ def test_bad_threads_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 # training config files
 
+def test_cli_and_config_imports_leave_numpy_unloaded():
+    # --threads must be pinned before numpy loads, so parsing loads none
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys, boundseg.cli, boundseg.config; "
+                               "print(sorted(m for m in sys.modules if m.startswith("
+                               "('numpy', 'scipy'))))"],
+        capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
 def test_read_train_config_defaults(tmp_path):
     cfg = tmp_path / "empty.cfg"
     cfg.write_text("# all defaults\n")
     config, schedule, hypers = read_train_config(cfg)
-    assert config.input_size == (64, 64)
-    assert config.encoder.widths == (16, 32, 64, 64, 64)
-    assert config.head.project == 128
-    assert schedule == LossSchedule(0.9, 0.1, 60)
+    assert config == desk_config()
+    assert schedule == LossSchedule() == LossSchedule(0.9, 0.1, 60)
     assert hypers == {"lr": 0.1, "momentum": 0.9, "batch_size": 4, "seed": 0}
+
+
+EVERY_KEY_CONFIG = """\
+input_size = 48,40
+encoder_widths = 6, 8,10,12
+encoder_pools = 1,0,true,yes
+encoder_dilations = 1,2,1,1
+head_project = 12
+head_deconv_widths = 10,8,6
+classifier_widths = 5,7,9
+classifier_mirror = TRUE
+lambda_start = 0.8
+lambda_end = 0.25
+epochs = 3
+lr = 0.05
+momentum = 0
+batch_size = 3
+seed = 11
+"""
+
+
+def test_read_train_config_sets_every_key(tmp_path):
+    cfg = tmp_path / "all.cfg"
+    cfg.write_text(EVERY_KEY_CONFIG)
+    assert len(EVERY_KEY_CONFIG.splitlines()) == len(TRAIN_CONFIG_DEFAULTS)
+    config, schedule, hypers = read_train_config(cfg)
+    assert config == PipelineConfig(
+        input_size=(48, 40),
+        encoder=EncoderSpec(widths=(6, 8, 10, 12), pools=(True, False, True, True),
+                            dilations=(1, 2, 1, 1)),
+        head=HeadSpec(project=12, deconv_widths=(10, 8, 6)),
+        classifier=ClassifierSpec(widths=(5, 7, 9), mirror=True),
+    )
+    assert schedule == LossSchedule(0.8, 0.25, 3)
+    assert hypers == {"lr": 0.05, "momentum": 0.0, "batch_size": 3, "seed": 11}
+    assert type(hypers["momentum"]) is float
+
+
+@pytest.mark.parametrize("line", ["encoder_pools = 2,1,1,0,0", "classifier_mirror = maybe",
+                                  "input_size = 64,64,64", "head_deconv_widths = 4,,4"])
+def test_read_train_config_rejects_a_malformed_value(tmp_path, line):
+    # a pool flag is a boolean: 2 is not read as true
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    with pytest.raises(InvalidParams, match="bad value"):
+        read_train_config(cfg)
 
 
 def test_read_train_config_overrides_and_comments(tmp_path):
@@ -146,6 +217,23 @@ def test_train_batch_size_zero_is_data_error(dataset, tmp_path):
     assert res.returncode == EXIT_DATA
     assert "Traceback" not in res.stderr
     assert "InvalidParams: batch_size must be >= 1, got 0" in res.stderr
+
+
+@pytest.mark.parametrize("line, got", [
+    ("lr = nan", "got lr nan, momentum 0.9"),
+    ("lr = -0.1", "got lr -0.1, momentum 0.9"),
+    ("momentum = -5", "got lr 0.05, momentum -5.0"),
+    ("momentum = 1", "got lr 0.05, momentum 1.0"),
+])
+def test_train_unusable_optimiser_is_data_error(dataset, tmp_path, line, got):
+    cfg = tmp_path / "t.cfg"
+    cfg.write_text(TINY_CONFIG + line + "\n")
+    res = run_cli("train", "--config", cfg, "--data", dataset, "--out", tmp_path / "m.bseg")
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert ("InvalidParams: need a finite lr >= 0 and a momentum in [0, 1), " + got
+            in res.stderr)
+    assert not (tmp_path / "m.log.tsv").exists()
 
 
 def test_read_train_config_rejects_bad_value(tmp_path):
@@ -175,6 +263,18 @@ def test_gen_range_override_and_rejection(tmp_path):
                  "--n-test", "1", "--range", "bogus=0,1"]) == EXIT_DATA
     assert main(["gen", "--out", str(tmp_path / "f"), "--n-train", "1",
                  "--n-test", "1", "--range", "notch=0.5,0.1"]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("spec", ["notch=0,inf", "angle=-inf,0", "gain=nan,0",
+                                  "angle=-1e308,1e308", "notch=0.5,0.1", "bogus=0,1",
+                                  "notch", "notch=0", "notch=0,x"])
+def test_gen_bad_range_is_data_error(tmp_path, spec):
+    res = run_cli("gen", "--out", tmp_path / "d", "--n-train", "1", "--n-test", "1",
+                  "--range", spec)
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert "InvalidParams" in res.stderr
+    assert not (tmp_path / "d").exists()
 
 
 def test_gen_negative_augment_is_data_error(tmp_path):

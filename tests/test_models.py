@@ -339,6 +339,20 @@ def test_train_rejects_bad_batch_size(small_dataset, batch_size):
               lr=0.05, batch_size=batch_size, seed=5)
 
 
+@pytest.mark.parametrize("optimiser", [
+    {"lr": float("nan")}, {"lr": float("inf")}, {"lr": -0.05},
+    {"momentum": -5.0}, {"momentum": 1.0}, {"momentum": float("nan")},
+])
+def test_train_rejects_an_unusable_optimiser(small_dataset, tmp_path, optimiser):
+    args = {"lr": 0.05, "momentum": 0.9} | optimiser
+    message = (r"need a finite lr >= 0 and a momentum in \[0, 1\), "
+               rf"got lr {args['lr']}, momentum {args['momentum']}$")
+    with pytest.raises(InvalidParams, match=message):
+        train(small_dataset, tiny_config(64, 64), LossSchedule(0.5, 0.5, 1),
+              batch_size=2, seed=5, log_path=tmp_path / "log.tsv", **args)
+    assert not (tmp_path / "log.tsv").exists()
+
+
 def test_lambda_zero_never_reads_distance_maps(small_dataset, tmp_path):
     # Deleting every dmap file proves the regression loss is never
     # evaluated against ground truth when lambda is pinned at 0.

@@ -1,6 +1,7 @@
 """Phantom generation, elastic augmentation, and dataset assembly."""
 
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -341,6 +342,36 @@ def test_make_dataset_rejects_empty_split(tmp_path):
 def test_make_dataset_rejects_negative_augment(tmp_path):
     with pytest.raises(InvalidParams, match="augment must be >= 0, got -2"):
         make_dataset(tmp_path / "ds", n_train=1, n_test=1, seed=0, augment=-2)
+    assert not (tmp_path / "ds").exists()
+
+
+@pytest.mark.parametrize("ranges, message", [
+    ({"bogus": (0.0, 1.0)}, "unknown range 'bogus'"),
+    ({"notch": (0.5, 0.1)}, "range notch: need LO <= HI"),
+    ({"notch": (0.0, math.inf)}, "range notch: need LO <= HI with HI - LO finite"),
+    ({"angle": (-math.inf, 0.0)}, "range angle"),
+    ({"gain": (math.nan, 0.0)}, "range gain"),
+    ({"angle": (-1e308, 1e308)}, "range angle"),
+])
+def test_generate_sample_rejects_bad_ranges(tmp_path, ranges, message):
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        generate_sample((64, 64), 0, 0, ranges)
+    with pytest.raises(InvalidParams, match=re.escape(message)):
+        make_dataset(tmp_path / "ds", n_train=1, n_test=1, seed=0, ranges=ranges)
+    assert not (tmp_path / "ds").exists()
+
+
+def test_generate_sample_takes_a_partial_range_override():
+    assert generate_sample((64, 64), 0, 0, {"notch": (0.0, 0.0)})[2].notch == 0.0
+    assert generate_sample((64, 64), 0, 0, {})[2] == generate_sample((64, 64), 0, 0)[2]
+
+
+@pytest.mark.parametrize("counts", [{"augment": 1.5}, {"n_train": 1.0}, {"n_test": True},
+                                    {"augment": "1"}])
+def test_make_dataset_checks_count_types_before_touching_the_disk(tmp_path, counts):
+    args = {"n_train": 1, "n_test": 1, "augment": 0} | counts
+    with pytest.raises(InvalidParams, match="n_train, n_test and augment must be int"):
+        make_dataset(tmp_path / "ds", seed=0, **args)
     assert not (tmp_path / "ds").exists()
 
 

@@ -12,8 +12,11 @@ checkout's `src`, this runs the same recipe in a fresh directory:
   classification-only one (lambda pinned at 0, 2 epochs) and one whose
   lambda starts at 1 and ends at 0.5 (3 epochs), so each branch of the
   loss weighting is trained, and the classifier is first left out and
-  then stepped;
-- `segment` of every test image with each of the five checkpoints, in
+  then stepped; and a 1-epoch `train` from a file that sets every config
+  key away from its default (a two-value input size, four encoder
+  blocks, a mirrored classifier), so each key's parse reaches the model,
+  the sidecar and the log;
+- `segment` of every test image with each of the six checkpoints, in
   classifier mode with `--overlay` and in `--mode brn --tau 0.2`;
 - `eval` of the regression-only model's classifier masks against the
   ground truth, with the ground truth as the compared set (after so few
@@ -63,6 +66,11 @@ TRAIN_CONFIGS = {
     "ce2": "epochs = 2\nbatch_size = 4\nseed = 3\nlambda_start = 0\nlambda_end = 0\n",
     "brn-to-half3": "epochs = 3\nbatch_size = 4\nseed = 3\nlambda_start = 1\n"
                     "lambda_end = 0.5\n",
+    "every-key1": "input_size = 64,64\nencoder_widths = 6,8,10,12\nencoder_pools = 1,0,1,1\n"
+                  "encoder_dilations = 1,2,1,1\nhead_project = 12\n"
+                  "head_deconv_widths = 10,8,6\nclassifier_widths = 5,7\n"
+                  "classifier_mirror = true\nlambda_start = 0.8\nlambda_end = 0.3\n"
+                  "epochs = 1\nlr = 0.05\nmomentum = 0.5\nbatch_size = 3\nseed = 4\n",
 }
 
 REFERENCE_STEP = """\
