@@ -190,6 +190,10 @@ def cmd_eval(args) -> int:
         _mask_records(args.compare) if args.compare else None,
     )
     write_report(args.report, report)
+    undefined = sum(r.mean_distance is None for r in report.rows)
+    if undefined:
+        print(f"{undefined} of {len(report.rows)} samples have an empty mask: "
+              "no boundary distance")
     agg = report.aggregate()
     for name in METRIC_NAMES:
         mean, std = agg[name]

@@ -6,6 +6,9 @@ Three formats, all bit-exact on round-trip:
   linearly between [0, 1] floats and [0, 255] bytes; masks use {0, 255}.
 * FMAP for real-valued grids: magic ``FMAP``, u32 width, u32 height,
   then row-major little-endian float32 samples.
+* Tables (the dataset manifest, the training log, the evaluation report):
+  UTF-8 text, ``#`` comment lines, one row per line of tab-separated
+  cells, floats by `repr` and ``na`` for a missing value.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagic, MalformedHeader, TruncatedData, opened
+from .errors import BadMagic, IoFailure, MalformedHeader, TruncatedData, opened
 
 FMAP_MAGIC = b"FMAP"
 
@@ -110,3 +113,54 @@ def read_fmap(path) -> np.ndarray:
     if len(blob) < need:
         raise TruncatedData(f"{path}: expected {need} bytes, got {len(blob)}")
     return np.frombuffer(blob[12:need], dtype="<f4").reshape(h, w).copy()
+
+
+def write_table(path, what: str, head, rows, tail=(), mode: str = "w") -> None:
+    """Write `head` as comment lines, one line per row, then `tail` as
+    comment lines; each is a sequence of cells, tab-joined, with None
+    written as ``na``, a str as it is and anything else by `repr`.
+
+    A cell that would not read back (one holding a tab or a line break, a
+    blank row, or a row whose first cell starts with ``#``) is IoFailure,
+    raised before the file is opened.  `mode` "a" appends."""
+    lines = []
+    for prefix, table in (("# ", head), ("", rows), ("# ", tail)):
+        for cells in table:
+            text = "\t".join("na" if c is None else c if isinstance(c, str) else repr(c)
+                             for c in cells)
+            if text.count("\t") != len(cells) - 1 or "\n" in text or "\r" in text \
+                    or not prefix and (not text or text.startswith("#")):
+                raise IoFailure(f"cannot write {what} {path}: {tuple(cells)!r} would not "
+                                "read back (a tab or line break in a cell, or a row that "
+                                "is blank or starts with '#')")
+            lines.append(prefix + text + "\n")
+    with opened(path, mode, what) as f:
+        f.writelines(lines)
+
+
+def optional(kind):
+    """A `read_table` column type: ``na`` reads as None, any other cell as `kind`."""
+    return lambda cell: None if cell == "na" else kind(cell)
+
+
+def read_table(path, what: str, types) -> tuple[list[tuple], list[list[str]]]:
+    """The rows of a `write_table` file, each cell read by its column's type
+    in `types`, and its comment lines, each split into cells after the ``# ``.
+    Blank lines are skipped.  A row with the wrong number of cells, or a
+    cell its type rejects (ValueError), is IoFailure."""
+    with opened(path, "r", what) as f:
+        text = f.read()
+    rows, comments = [], []
+    for n, line in enumerate(text.split("\n"), start=1):
+        if line.startswith("#"):
+            comments.append(line[1:].removeprefix(" ").split("\t"))
+        elif line:
+            cells = line.split("\t")
+            if len(cells) != len(types):
+                raise IoFailure(f"{what} {path} line {n}: {len(cells)} cells, "
+                                f"expected {len(types)}")
+            try:
+                rows.append(tuple(kind(cell) for kind, cell in zip(types, cells)))
+            except ValueError as e:
+                raise IoFailure(f"{what} {path} line {n}: {e}") from e
+    return rows, comments

@@ -12,8 +12,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .distmap import boundary_pixels, euclidean_dt
-from .errors import IoFailure, ManifestMismatch, ShapeMismatch, TooFewSamples, opened
-from .imgio import read_pgm_mask
+from .errors import EmptyMask, IoFailure, ManifestMismatch, ShapeMismatch, TooFewSamples
+from .imgio import optional, read_pgm_mask, read_table, write_table
 from .phantom import read_manifest
 
 EXACT_WILCOXON_MAX_N = 25
@@ -152,7 +152,7 @@ def wilcoxon_signed_rank(x, y, method: str = "auto") -> tuple[float, float]:
 class SampleMetrics(NamedTuple):
     id: str
     dice: float
-    mean_distance: float
+    mean_distance: float | None  # None when either mask is empty
     accuracy: float
 
 
@@ -165,10 +165,13 @@ class EvalReport:
     p_values: dict[str, float | None] | None = None
 
     def aggregate(self) -> dict[str, tuple[float, float]]:
+        """(mean, std) of each metric over the rows where it is defined;
+        nan when it is defined on none."""
         out = {}
         for name in METRIC_NAMES:
-            vals = np.array([getattr(r, name) for r in self.rows], dtype=np.float64)
-            out[name] = (float(vals.mean()), float(vals.std()))
+            vals = np.array([v for r in self.rows if (v := getattr(r, name)) is not None],
+                            dtype=np.float64)
+            out[name] = (float(vals.mean()), float(vals.std())) if vals.size else (math.nan,) * 2
         return out
 
 
@@ -183,21 +186,23 @@ def _records_by_id(manifest) -> dict:
 
 
 def _sample_row(sid: str, pred_mask: np.ndarray, gt_mask: np.ndarray) -> SampleMetrics:
-    return SampleMetrics(
-        id=sid,
-        dice=dice(pred_mask, gt_mask),
-        mean_distance=mean_boundary_distance(pred_mask, gt_mask),
-        accuracy=pixel_accuracy(pred_mask, gt_mask),
-    )
+    d = dice(pred_mask, gt_mask)
+    try:
+        distance = mean_boundary_distance(pred_mask, gt_mask)
+    except EmptyMask:  # no boundary to measure from
+        distance = None
+    return SampleMetrics(sid, d, distance, pixel_accuracy(pred_mask, gt_mask))
 
 
 def evaluate(pred_manifest, gt_manifest, compare_manifest=None) -> EvalReport:
     """Score predictions against ground truth, sample by sample.
 
     Manifests are matched on sample id (every id must appear in both).
-    With `compare_manifest`, per-metric paired Wilcoxon p-values between
-    the two prediction sets are added; a metric where the test is
-    undefined (all differences zero) records None.
+    An empty mask on either side leaves the sample's boundary distance
+    None.  With `compare_manifest`, per-metric paired Wilcoxon p-values
+    between the two prediction sets are added, over the samples where the
+    metric is defined in both; a metric where the test is undefined (fewer
+    than 6 nonzero differences) records None.
     """
     preds = _records_by_id(pred_manifest)
     gts = _records_by_id(gt_manifest)
@@ -222,8 +227,8 @@ def evaluate(pred_manifest, gt_manifest, compare_manifest=None) -> EvalReport:
     if others is not None:
         p_values = {}
         for name in METRIC_NAMES:
-            a = [getattr(r, name) for r in rows]
-            b = [getattr(r, name) for r in other_rows]
+            pairs = [(getattr(r, name), getattr(o, name)) for r, o in zip(rows, other_rows)]
+            a, b = np.reshape([p for p in pairs if None not in p], (-1, 2)).T
             try:
                 _, p_values[name] = wilcoxon_signed_rank(a, b)
             except TooFewSamples:
@@ -237,43 +242,19 @@ def write_report(path, report: EvalReport) -> None:
     Floats are written with repr, which round-trips exactly, so
     read_report followed by write_report reproduces the bytes.
     """
-    lines = ["# boundseg evaluation report\n",
-             "# id\tdice\tmean_distance\taccuracy\n"]
-    for r in report.rows:
-        lines.append(f"{r.id}\t{r.dice!r}\t{r.mean_distance!r}\t{r.accuracy!r}\n")
-    for name, (mean, std) in report.aggregate().items():
-        lines.append(f"# aggregate\t{name}\t{mean!r}\t{std!r}\n")
+    tail = [("aggregate", name, *stats) for name, stats in report.aggregate().items()]
     if report.p_values is not None:
-        for name in METRIC_NAMES:
-            p = report.p_values.get(name)
-            lines.append(f"# pvalue\t{name}\t{'na' if p is None else repr(p)}\n")
-    with opened(path, "w", "report") as f:
-        f.writelines(lines)
+        tail += [("pvalue", name, report.p_values.get(name)) for name in METRIC_NAMES]
+    write_table(path, "report", [("boundseg evaluation report",), ("id", *METRIC_NAMES)],
+                report.rows, tail)
 
 
 def read_report(path) -> EvalReport:
     """Parse a report file; aggregates are recomputed, not trusted."""
-    rows = []
-    p_values = None
-    with opened(path, "r", "report") as f:
-        body = f.readlines()
+    rows, comments = read_table(path, "report", (str, float, optional(float), float))
     try:
-        for line in body:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line[1:].strip().split("\t")
-                if parts[0] == "pvalue" and len(parts) == 3:
-                    if p_values is None:
-                        p_values = {}
-                    p_values[parts[1]] = None if parts[2] == "na" else float(parts[2])
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
-                raise IoFailure(f"report row has {len(parts)} fields: {line!r}")
-            rows.append(SampleMetrics(parts[0], float(parts[1]),
-                                      float(parts[2]), float(parts[3])))
+        p_values = {c[1]: optional(float)(c[2]) for c in comments
+                    if c[0] == "pvalue" and len(c) == 3}
     except ValueError as e:
         raise IoFailure(f"malformed report {path}: {e}") from e
-    return EvalReport(rows=rows, p_values=p_values)
+    return EvalReport([SampleMetrics._make(row) for row in rows], p_values or None)

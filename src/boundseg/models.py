@@ -24,16 +24,11 @@ import numpy as np
 
 from .config import (  # the schema is part of this module's API too
     DOWNSAMPLE_FACTOR, ClassifierSpec, EncoderSpec, HeadSpec, LossSchedule, PipelineConfig,
-    _check_type, _from_dict, brn_training_schedule, desk_config, reference_config,
+    _OPTIMISER_DEFAULTS, _check_type, _from_dict, brn_training_schedule, desk_config,
+    reference_config,
 )
-from .errors import (
-    DivergedTraining,
-    InvalidParams,
-    IoFailure,
-    ShapeMismatch,
-    opened,
-)
-from .imgio import read_fmap, read_pgm_image, read_pgm_mask
+from .errors import DivergedTraining, InvalidParams, IoFailure, ShapeMismatch, opened
+from .imgio import optional, read_fmap, read_pgm_image, read_pgm_mask, read_table, write_table
 from .metrics import dice
 from .nn import checkpoint as ckpt
 from .nn import ops
@@ -253,7 +248,9 @@ def _load_split(records, split: str, dtype, with_dmaps: bool):
 
 
 def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
-          *, momentum: float = 0.9, batch_size: int = 8, seed: int = 0,
+          *, momentum: float = _OPTIMISER_DEFAULTS["momentum"],
+          batch_size: int = _OPTIMISER_DEFAULTS["batch_size"],
+          seed: int = _OPTIMISER_DEFAULTS["seed"],
           checkpoint_path=None, log_path=None,
           ) -> tuple[SegmentationModel, list[EpochRecord]]:
     """Seeded-shuffled minibatch SGD on `objective`.
@@ -274,8 +271,7 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
     model = SegmentationModel(config, seed=seed)
     dtype = model.dtype
 
-    lambdas = [schedule.lambda_at(e) for e in range(schedule.total_epochs)]
-    needs_dmaps = any(lam > 0.0 for lam in lambdas)
+    needs_dmaps = schedule.lambda_start > 0.0  # lambda never increases
     imgs, masks, dmaps = _load_split(records, "train", dtype, needs_dmaps)
     if not imgs:
         raise InvalidParams("manifest has no train samples")
@@ -293,7 +289,7 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
         write_training_log(log_path, [])
 
     for epoch in range(schedule.total_epochs):
-        lam = lambdas[epoch]
+        lam = schedule.lambda_at(epoch)
         order = rng.permutation(n)
         l2_sum = ce_sum = 0.0
         for b, start in enumerate(range(0, n, batch_size)):
@@ -334,42 +330,21 @@ def train(manifest, config: PipelineConfig, schedule: LossSchedule, lr: float,
             "na" if rec.val_dice is None else f"{rec.val_dice:.4f}",
         )
         if log_path is not None:
-            with opened(log_path, "a", "training log") as f:
-                f.write(_log_row(rec))
+            write_table(log_path, "training log", (), [rec], mode="a")
 
     if checkpoint_path is not None:
         save_model(checkpoint_path, model)
     return model, log
 
 
-def _log_row(r: EpochRecord) -> str:
-    return "\t".join("na" if v is None else repr(v) for v in r) + "\n"
-
-
 def write_training_log(path, records: list[EpochRecord]) -> None:
     """One structured record per epoch: epoch, lambda, l2, ce, val_dice."""
-    with opened(path, "w", "training log") as f:
-        f.write("# epoch\tlambda\tl2\tce\tval_dice\n")
-        f.writelines(map(_log_row, records))
+    write_table(path, "training log", [("epoch", "lambda", "l2", "ce", "val_dice")], records)
 
 
 def read_training_log(path) -> list[EpochRecord]:
-    def parse(v):
-        return None if v == "na" else float(v)
-
-    out = []
-    try:
-        with opened(path, "r", "training log") as f:
-            for line in f:
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                e, lam, l2, ce, vd = line.split("\t")
-                out.append(EpochRecord(int(e), float(lam), parse(l2),
-                                       parse(ce), parse(vd)))
-    except ValueError as e:
-        raise IoFailure(f"malformed training log {path}: {e}") from e
-    return out
+    rows, _ = read_table(path, "training log", (int, float, *[optional(float)] * 3))
+    return [EpochRecord._make(row) for row in rows]
 
 
 # ---------------------------------------------------------------------------
@@ -405,13 +380,14 @@ def _sidecar(path) -> Path:
 
 
 def _read_sidecar(sidecar: Path) -> PipelineConfig:
-    """The pipeline config in a JSON sidecar; malformed JSON, a missing
-    key or a value of the wrong type is a data error, not a crash."""
+    """The pipeline config in a JSON sidecar; malformed or too deeply nested
+    JSON, a missing key or a value of the wrong type is a data error, not a
+    crash."""
     with opened(sidecar, "r", "config sidecar") as f:
         text = f.read()
     try:
         return _from_dict(PipelineConfig, json.loads(text)["config"])
-    except (KeyError, TypeError, ValueError, InvalidParams) as e:
+    except (KeyError, TypeError, ValueError, RecursionError, InvalidParams) as e:
         raise IoFailure(
             f"malformed config sidecar {sidecar}: {type(e).__name__}: {e}") from e
 

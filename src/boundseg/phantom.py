@@ -20,8 +20,8 @@ from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .config import _check_type
 from .distmap import boundary_pixels, euclidean_dt, mask_to_distance_map
-from .errors import EmptyMask, InvalidParams, IoFailure, ShapeMismatch, opened
-from .imgio import write_fmap, write_pgm
+from .errors import EmptyMask, InvalidParams, IoFailure, ShapeMismatch
+from .imgio import read_table, write_fmap, write_pgm, write_table
 
 # intensity levels of the piecewise phantom (before ramp/blur/speckle)
 TISSUE_LEVEL = 0.42
@@ -71,8 +71,8 @@ class PhantomParams:
             raise InvalidParams(f"notch {self.notch} outside [0, 0.6]")
         if not 0.0 <= self.speckle <= 1.0:
             raise InvalidParams(f"speckle {self.speckle} outside [0, 1]")
-        if self.blur_sigma < 0.0:
-            raise InvalidParams(f"blur sigma {self.blur_sigma} negative")
+        if not 0.0 <= self.blur_sigma <= max(h, w):
+            raise InvalidParams(f"blur sigma {self.blur_sigma} outside [0, {max(h, w)}]")
         if self.center is not None:
             cy, cx = self.center
             if not (0 <= cy < h and 0 <= cx < w):
@@ -314,49 +314,30 @@ def make_dataset(out_dir, n_train: int, n_test: int, seed: int,
     except OSError as e:
         raise IoFailure(f"cannot create dataset directories under {out}: {e}") from e
 
-    lines = []
+    def emit(sid: str, img: np.ndarray, mask: np.ndarray, split: str) -> tuple:
+        rel = f"images/{sid}.pgm", f"masks/{sid}.pgm", f"dmaps/{sid}.fmap"
+        write_pgm(out / rel[0], img)
+        write_pgm(out / rel[1], mask)
+        write_fmap(out / rel[2], mask_to_distance_map(mask))
+        return sid, *rel, split
 
-    def emit(sid: str, img: np.ndarray, mask: np.ndarray, split: str) -> None:
-        rel_img = f"images/{sid}.pgm"
-        rel_mask = f"masks/{sid}.pgm"
-        rel_dmap = f"dmaps/{sid}.fmap"
-        write_pgm(out / rel_img, img)
-        write_pgm(out / rel_mask, mask)
-        write_fmap(out / rel_dmap, mask_to_distance_map(mask))
-        lines.append(f"{sid}\t{rel_img}\t{rel_mask}\t{rel_dmap}\t{split}\n")
-
-    for split, count, base in (("train", n_train, 0), ("test", n_test, n_train)):
-        for i in range(count):
-            index = base + i
-            img, mask, _ = generate_sample(frame, seed, index, ranges)
-            sid = f"{split}_{i:04d}"
-            emit(sid, img, mask, split)
-            if split == "train":
-                for k in range(augment):
-                    img2, mask2 = _augmented(img, mask, seed, index, k)
-                    emit(f"{sid}_aug{k}", img2, mask2, split)
+    def rows():  # each sample's files are written as its row is drawn
+        for split, count, base in (("train", n_train, 0), ("test", n_test, n_train)):
+            for i in range(count):
+                index = base + i
+                img, mask, _ = generate_sample(frame, seed, index, ranges)
+                sid = f"{split}_{i:04d}"
+                yield emit(sid, img, mask, split)
+                for k in range(augment if split == "train" else 0):
+                    yield emit(f"{sid}_aug{k}", *_augmented(img, mask, seed, index, k), split)
 
     manifest = out / "manifest.tsv"
-    with opened(manifest, "w", "manifest") as f:
-        f.write("# id\timage\tmask\tdmap\tsplit\n")
-        f.writelines(lines)
+    write_table(manifest, "manifest", [SampleRecord._fields], rows())
     return manifest
 
 
 def read_manifest(path) -> list[SampleRecord]:
     """Parse a manifest; relative paths are resolved against its directory."""
     base = Path(path).parent
-    records = []
-    with opened(path, "r", "manifest") as f:
-        for line in f:
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise IoFailure(f"manifest line has {len(parts)} fields: {line!r}")
-            sid, img, mask, dmap, split = parts
-            records.append(SampleRecord(
-                id=sid, image=base / img, mask=base / mask,
-                dmap=base / dmap, split=split))
-    return records
+    rows, _ = read_table(path, "manifest", (str, *[base.joinpath] * 3, str))
+    return [SampleRecord._make(row) for row in rows]

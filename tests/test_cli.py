@@ -277,6 +277,14 @@ def test_gen_bad_range_is_data_error(tmp_path, spec):
     assert not (tmp_path / "d").exists()
 
 
+def test_gen_huge_blur_sigma_is_data_error(tmp_path):
+    res = run_cli("gen", "--out", tmp_path / "d", "--n-train", "1", "--n-test", "1",
+                  "--range", "blur_sigma=1e300,1e300")
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert "InvalidParams" in res.stderr and "blur sigma 1e+300 outside [0, 64]" in res.stderr
+
+
 def test_gen_negative_augment_is_data_error(tmp_path):
     res = run_cli("gen", "--out", tmp_path / "d", "--n-train", "1", "--n-test", "1",
                   "--augment", "-2")
@@ -498,6 +506,19 @@ def test_segment_sidecar_missing_key_is_data_error(mutation, checkpoint, dataset
     assert "IoFailure" in res.stderr
 
 
+def test_segment_deeply_nested_sidecar_is_data_error(checkpoint, dataset, tmp_path):
+    ck = tmp_path / "model.bseg"
+    shutil.copyfile(checkpoint, ck)
+    ck.with_suffix(".json").write_text('{"config":' + "[" * 200_000)
+    res = run_cli("segment", "--ckpt", ck,
+                  "--image", dataset / "images" / "test_0000.pgm",
+                  "--out", tmp_path / "o.pgm")
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert "IoFailure: malformed config sidecar" in res.stderr
+    assert "RecursionError" in res.stderr
+
+
 def test_segment_logs_resolved_defaults(checkpoint, dataset, tmp_path, caplog):
     caplog.set_level(logging.INFO, logger="boundseg")
     assert main(["segment", "--ckpt", str(checkpoint),
@@ -581,3 +602,41 @@ def test_eval_deterministic_report(dataset, tmp_path):
                      "--report", str(rp)]) == EXIT_OK
         blobs.append(rp.read_bytes())
     assert blobs[0] == blobs[1]
+
+
+def test_eval_scores_an_empty_predicted_mask(dataset, tmp_path, capsys):
+    gt = dataset / "masks"
+    pred = tmp_path / "pred"
+    shutil.copytree(gt, pred)
+    empty = sorted(pred.glob("*.pgm"))[0]
+    write_pgm(empty, np.zeros_like(read_pgm_mask(empty)))
+    report = tmp_path / "report.tsv"
+    assert main(["eval", "--pred", str(pred), "--gt", str(gt),
+                 "--compare", str(gt), "--report", str(report)]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert f"1 of {len(list(gt.glob('*.pgm')))} samples have an empty mask" in out
+    assert "mean_distance: 0.0000 +/- 0.0000" in out
+    row = report.read_text().splitlines()[2].split("\t")
+    assert row == [empty.stem, "0.0", "na", row[3]]
+    back = read_report(report)
+    assert back.rows[0].mean_distance is None
+    assert all(r.mean_distance == 0.0 for r in back.rows[1:])
+
+
+def test_eval_prints_no_empty_mask_line_without_one(dataset, capsys, tmp_path):
+    gt = dataset / "masks"
+    assert main(["eval", "--pred", str(gt), "--gt", str(gt),
+                 "--report", str(tmp_path / "r.tsv")]) == EXIT_OK
+    assert "empty mask" not in capsys.readouterr().out
+
+
+def test_eval_of_an_id_that_reads_as_a_comment_is_data_error(dataset, tmp_path):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    shutil.copyfile(dataset / "masks" / "test_0000.pgm", masks / "#x.pgm")
+    report = tmp_path / "r.tsv"
+    res = run_cli("eval", "--pred", masks, "--gt", masks, "--report", report)
+    assert res.returncode == EXIT_DATA
+    assert "Traceback" not in res.stderr
+    assert "IoFailure: cannot write report" in res.stderr
+    assert not report.exists()

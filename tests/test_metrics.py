@@ -364,6 +364,55 @@ def test_report_roundtrip_byte_exact(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_evaluate_scores_empty_masks_and_pairs_only_defined_rows(tmp_path):
+    gt_masks, good, bad = {}, {}, {}
+    for i in range(9):
+        m = blob(4, 16, 4 + i % 3, 16 + i % 3)
+        gt_masks[f"s{i}"] = m
+        good[f"s{i}"] = m
+        worse = m.copy()
+        worse[:, : 6 + i % 4] = 0
+        bad[f"s{i}"] = worse
+    good["s0"] = np.zeros_like(good["s0"])  # undefined on the first side
+    bad["s1"] = np.zeros_like(bad["s1"])    # and on the second
+    gt = write_mask_set(tmp_path / "gt", gt_masks)
+    report = evaluate(write_mask_set(tmp_path / "good", good), gt,
+                      compare_manifest=write_mask_set(tmp_path / "bad", bad))
+    rows = {r.id: r for r in report.rows}
+    assert rows["s0"].mean_distance is None and rows["s0"].dice == 0.0
+    assert all(rows[f"s{i}"].mean_distance == 0.0 for i in range(1, 9))
+    defined = [i for i in range(9) if i not in (0, 1)]
+    others = [mean_boundary_distance(bad[f"s{i}"], gt_masks[f"s{i}"]) for i in defined]
+    _, p = wilcoxon_signed_rank([0.0] * len(defined), others)
+    assert report.p_values["mean_distance"] == p
+    _, p_dice = wilcoxon_signed_rank([r.dice for r in report.rows],
+                                     [dice(bad[f"s{i}"], gt_masks[f"s{i}"]) for i in range(9)])
+    assert report.p_values["dice"] == p_dice
+    agg = report.aggregate()
+    assert agg["mean_distance"] == (0.0, 0.0)  # over the eight defined rows
+    assert agg["dice"][0] == pytest.approx(8 / 9)
+
+
+def test_report_with_undefined_distances_roundtrips(tmp_path):
+    report = EvalReport([SampleMetrics("a", 0.0, None, 0.5), SampleMetrics("b", 1.0, 2.5, 1.0)],
+                        {"dice": None, "mean_distance": None, "accuracy": 0.25})
+    path = tmp_path / "r.tsv"
+    write_report(path, report)
+    lines = path.read_text().splitlines()
+    assert lines[2] == "a\t0.0\tna\t0.5"
+    assert "# aggregate\tmean_distance\t2.5\t0.0" in lines
+    back = read_report(path)
+    assert back == report
+    write_report(tmp_path / "again.tsv", back)
+    assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
+
+def test_aggregate_of_a_metric_defined_on_no_row_is_nan():
+    agg = EvalReport([SampleMetrics("a", 0.0, None, 0.5)]).aggregate()
+    assert np.isnan(agg["mean_distance"]).all()
+    assert agg["dice"] == (0.0, 0.0)
+
+
 def test_report_aggregate_recomputable():
     rows = [SampleMetrics("a", 0.8, 2.0, 0.9), SampleMetrics("b", 1.0, 0.0, 1.0)]
     agg = EvalReport(rows=rows).aggregate()

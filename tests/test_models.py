@@ -1,6 +1,7 @@
 """Pipeline assembly, shape contracts, loss gating, training plumbing,
 and the composed finite-difference gradient check."""
 
+import inspect
 import re
 
 import numpy as np
@@ -43,6 +44,7 @@ from boundseg.nn import (
     relative_error,
     save_checkpoint,
 )
+from boundseg.config import read_train_config
 from boundseg.phantom import make_dataset, read_manifest
 
 
@@ -375,6 +377,16 @@ def test_zero_lr_leaves_parameters_unchanged(small_dataset):
                      lr=0.0, batch_size=2, seed=9)
     for name, p in model.named_params():
         assert np.array_equal(p.data, before[name]), name
+
+
+def test_train_defaults_are_the_training_files(tmp_path):
+    cfg = tmp_path / "empty.cfg"
+    cfg.write_text("")
+    _, _, hypers = read_train_config(cfg)
+    params = inspect.signature(train).parameters
+    assert {k: params[k].default for k in ("momentum", "batch_size", "seed")} == \
+        {k: hypers[k] for k in ("momentum", "batch_size", "seed")}
+    assert hypers["batch_size"] == 4 and hypers["momentum"] == 0.9
 
 
 def test_training_log_and_checkpoint_roundtrip(small_dataset, tmp_path):

@@ -54,6 +54,13 @@ def test_params_reject_bad_ranges():
         PhantomParams(frame=(8, 64))
 
 
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, 64.5, 1e300])
+def test_params_reject_a_blur_sigma_beyond_the_frame(sigma):
+    with pytest.raises(InvalidParams, match="blur sigma .* outside \\[0, 64\\]"):
+        PhantomParams(frame=(48, 64), blur_sigma=sigma)
+    PhantomParams(frame=(48, 64), blur_sigma=64.0)
+
+
 def test_negative_seed_is_invalid_params(tmp_path):
     with pytest.raises(InvalidParams):
         PhantomParams(seed=-1)

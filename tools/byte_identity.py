@@ -20,8 +20,8 @@ checkout's `src`, this runs the same recipe in a fresh directory:
   classifier mode with `--overlay` and in `--mode brn --tau 0.2`;
 - `eval` of the regression-only model's classifier masks against the
   ground truth, with the ground truth as the compared set (after so few
-  epochs the desk models' classifier masks are empty, and `eval` stops at
-  an empty mask);
+  epochs the desk models' classifier masks are empty, and a parent whose
+  `eval` still stops at an empty mask could not be compared on them);
 - one `reference_config()` SGD step (321², batch 1, lr 0.01, seed 7),
   with its checkpoint saved;
 - `segment` of that dataset's 321² test image with the reference
