@@ -52,6 +52,9 @@ def euclidean_dt(sites: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def mask_to_distance_map(mask: np.ndarray) -> np.ndarray:
     """exp(-D) over the whole frame; exactly 1.0 on boundary pixels."""
-    b = boundary_pixels(mask)
-    d = euclidean_dt(b, mask.shape)
+    return exp_map(euclidean_dt(boundary_pixels(mask), mask.shape))
+
+
+def exp_map(d: np.ndarray) -> np.ndarray:
+    """The map of distances D to the boundary: exp(-D) as float32."""
     return np.exp(-d).astype(np.float32)

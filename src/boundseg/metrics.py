@@ -50,8 +50,12 @@ def mean_boundary_distance(a: np.ndarray, b: np.ndarray) -> float:
         raise ShapeMismatch(f"mask shapes differ: {a.shape} vs {b.shape}")
     pa = boundary_pixels(a)  # raises EmptyMask for empty inputs
     pb = boundary_pixels(b)
-    dist_to_b = euclidean_dt(pb, a.shape)
-    dist_to_a = euclidean_dt(pa, a.shape)
+    # every site and every pixel read lies in the boundaries' joint box
+    lo = np.minimum(pa.min(axis=0), pb.min(axis=0))
+    box = tuple(np.maximum(pa.max(axis=0), pb.max(axis=0)) - lo + 1)
+    pa, pb = pa - lo, pb - lo
+    dist_to_b = euclidean_dt(pb, box)
+    dist_to_a = euclidean_dt(pa, box)
     m_ab = float(dist_to_b[pa[:, 0], pa[:, 1]].mean())
     m_ba = float(dist_to_a[pb[:, 0], pb[:, 1]].mean())
     return 0.5 * (m_ab + m_ba)

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.ndimage import gaussian_filter, map_coordinates
 
 from .config import _check_type
-from .distmap import boundary_pixels, euclidean_dt, mask_to_distance_map
-from .errors import EmptyMask, InvalidParams, IoFailure, ShapeMismatch
+from .distmap import boundary_pixels, euclidean_dt, exp_map, mask_to_distance_map
+from .errors import InvalidParams, IoFailure, ShapeMismatch
 from .imgio import read_table, write_fmap, write_pgm, write_table
 
 # intensity levels of the piecewise phantom (before ramp/blur/speckle)
@@ -83,27 +83,27 @@ class PhantomParams:
 def _render_bean(frame: tuple[int, int], center: tuple[float, float],
                  half_axes: tuple[float, float], angle: float,
                  notch: float) -> np.ndarray:
-    """Rotated ellipse with a cosine-modulated radial notch."""
+    """Rotated ellipse with a cosine-modulated radial notch, evaluated on the
+    ellipse's bounding box (half-extents ey, ex) only: outside it r > 1 >= radius."""
     h, w = frame
     cy, cx = center
     a, b = half_axes
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
     cos_t, sin_t = math.cos(angle), math.sin(angle)
+    ey, ex = math.hypot(a * cos_t, b * sin_t), math.hypot(a * sin_t, b * cos_t)
+    y0, y1 = (min(max(t, 0), h) for t in (math.floor(cy - ey) - 1, math.ceil(cy + ey) + 2))
+    x0, x1 = (min(max(t, 0), w) for t in (math.floor(cx - ex) - 1, math.ceil(cx + ex) + 2))
+    yy, xx = np.ogrid[y0:y1, x0:x1]
     u = (yy - cy) * cos_t + (xx - cx) * sin_t
     v = -(yy - cy) * sin_t + (xx - cx) * cos_t
     ru = u / a
     rv = v / b
     r = np.hypot(ru, rv)
-    theta = np.arctan2(rv, ru)
-    radius = 1.0 - notch * ((1.0 + np.cos(theta)) / 2.0) ** 2
-    return (r <= radius).astype(np.uint8)
-
-
-def _bean_mask(params: PhantomParams) -> np.ndarray:
-    h, w = params.frame
-    center = params.center if params.center is not None else ((h - 1) / 2.0, (w - 1) / 2.0)
-    return _render_bean(params.frame, center, params.half_axes,
-                        params.angle, params.notch)
+    radius = 1.0  # exactly what the notch term gives at notch 0
+    if notch != 0.0:
+        radius = 1.0 - notch * ((1.0 + np.cos(np.arctan2(rv, ru))) / 2.0) ** 2
+    mask = np.zeros((h, w), dtype=np.uint8)
+    mask[y0:y1, x0:x1] = r <= radius
+    return mask
 
 
 def _check_area(mask: np.ndarray) -> None:
@@ -116,20 +116,26 @@ def _check_area(mask: np.ndarray) -> None:
 
 def gen_sample(params: PhantomParams) -> tuple[np.ndarray, np.ndarray]:
     """Render one (image, mask) pair, deterministic in params.seed."""
+    return _render(params)[:2]
+
+
+def _render(params: PhantomParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`gen_sample`'s image and mask, and the mask's boundary distance D,
+    which gives the cortex rim here and the e^(-D) map in `make_dataset`."""
     h, w = params.frame
-    mask = _bean_mask(params)
+    center = params.center if params.center is not None else ((h - 1) / 2.0, (w - 1) / 2.0)
+    mask = _render_bean(params.frame, center, params.half_axes, params.angle, params.notch)
     _check_area(mask)
 
     inside = mask.astype(bool)
-    d_in = euclidean_dt(boundary_pixels(mask), (h, w))
-    cortex = inside & (d_in <= CORTEX_RIM_PX)
+    d = euclidean_dt(boundary_pixels(mask), (h, w))
+    cortex = inside & (d <= CORTEX_RIM_PX)
 
-    center = params.center if params.center is not None else ((h - 1) / 2.0, (w - 1) / 2.0)
     sinus_axes = (params.half_axes[0] * SINUS_SCALE, params.half_axes[1] * SINUS_SCALE)
     sinus = _render_bean(params.frame, center, sinus_axes,
                          params.angle, 0.0).astype(bool) & inside
 
-    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    yy, xx = np.ogrid[0:h, 0:w]
     gy, gx = params.gain
     img = TISSUE_LEVEL + gy * (yy / h - 0.5) + gx * (xx / w - 0.5)
     img[inside] = MEDULLA_LEVEL
@@ -142,7 +148,7 @@ def gen_sample(params: PhantomParams) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(params.seed)
         img = img * (1.0 + params.speckle * rng.standard_normal((h, w)))
     img = np.clip(img, 0.0, 1.0).astype(np.float32)
-    return img, mask
+    return img, mask, d
 
 
 @dataclass
@@ -257,6 +263,11 @@ def generate_sample(frame: tuple[int, int], seed: int, index: int,
     depends only on (frame, seed, index).  `ranges` overrides some of
     DEFAULT_RANGES; see `_merged_ranges` for what it rejects.
     """
+    return _generate(frame, seed, index, ranges)[:3]
+
+
+def _generate(frame, seed, index, ranges):
+    """`generate_sample`'s image, mask and params, and the mask's boundary distance D."""
     check_seed(seed)
     if index < 0:
         raise InvalidParams(f"sample index must be >= 0, got {index}")
@@ -266,8 +277,8 @@ def generate_sample(frame: tuple[int, int], seed: int, index: int,
     for _ in range(MAX_DRAW_ATTEMPTS):
         params = _draw_params(frame, seed + index, draw_rng, merged)
         try:
-            img, mask = gen_sample(params)
-            return img, mask, params
+            img, mask, d = _render(params)
+            return img, mask, params, d
         except InvalidParams as e:
             last_err = e
     raise InvalidParams(f"no valid sample after {MAX_DRAW_ATTEMPTS} draws: {last_err}")
@@ -284,8 +295,7 @@ def _augmented(img, mask, seed: int, index: int, k: int):
         img2, mask2 = elastic_augment(img, mask, field)
         try:
             _check_area(mask2)
-            boundary_pixels(mask2)
-        except (InvalidParams, EmptyMask):
+        except InvalidParams:
             continue
         return img2, mask2
     raise InvalidParams(f"no valid augmentation for sample {index} variant {k}")
@@ -314,22 +324,23 @@ def make_dataset(out_dir, n_train: int, n_test: int, seed: int,
     except OSError as e:
         raise IoFailure(f"cannot create dataset directories under {out}: {e}") from e
 
-    def emit(sid: str, img: np.ndarray, mask: np.ndarray, split: str) -> tuple:
+    def emit(sid: str, img: np.ndarray, mask: np.ndarray, dmap: np.ndarray, split: str) -> tuple:
         rel = f"images/{sid}.pgm", f"masks/{sid}.pgm", f"dmaps/{sid}.fmap"
         write_pgm(out / rel[0], img)
         write_pgm(out / rel[1], mask)
-        write_fmap(out / rel[2], mask_to_distance_map(mask))
+        write_fmap(out / rel[2], dmap)
         return sid, *rel, split
 
     def rows():  # each sample's files are written as its row is drawn
         for split, count, base in (("train", n_train, 0), ("test", n_test, n_train)):
             for i in range(count):
                 index = base + i
-                img, mask, _ = generate_sample(frame, seed, index, ranges)
+                img, mask, _, d = _generate(frame, seed, index, ranges)
                 sid = f"{split}_{i:04d}"
-                yield emit(sid, img, mask, split)
+                yield emit(sid, img, mask, exp_map(d), split)
                 for k in range(augment if split == "train" else 0):
-                    yield emit(f"{sid}_aug{k}", *_augmented(img, mask, seed, index, k), split)
+                    img2, mask2 = _augmented(img, mask, seed, index, k)
+                    yield emit(f"{sid}_aug{k}", img2, mask2, mask_to_distance_map(mask2), split)
 
     manifest = out / "manifest.tsv"
     write_table(manifest, "manifest", [SampleRecord._fields], rows())

@@ -623,6 +623,19 @@ def test_eval_scores_an_empty_predicted_mask(dataset, tmp_path, capsys):
     assert all(r.mean_distance == 0.0 for r in back.rows[1:])
 
 
+def test_eval_of_a_truncated_mask_is_data_error(dataset, tmp_path):
+    pred = tmp_path / "pred"
+    shutil.copytree(dataset / "masks", pred)
+    cut = sorted(pred.glob("*.pgm"))[0]
+    cut.write_bytes(cut.read_bytes()[:-100])
+    report = tmp_path / "r.tsv"
+    res = run_cli("eval", "--pred", pred, "--gt", dataset / "masks", "--report", report)
+    assert res.returncode == EXIT_DATA, res.stderr
+    assert "Traceback" not in res.stderr
+    assert "TruncatedData" in res.stderr and cut.name in res.stderr
+    assert not report.exists()
+
+
 def test_eval_prints_no_empty_mask_line_without_one(dataset, capsys, tmp_path):
     gt = dataset / "masks"
     assert main(["eval", "--pred", str(gt), "--gt", str(gt),

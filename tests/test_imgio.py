@@ -233,3 +233,36 @@ def test_table_readers_raise_only_package_errors(real_tables, which, cut, flips)
             reader(path)
         except BoundsegError:
             pass
+
+
+@pytest.fixture(scope="module")
+def real_rasters(tmp_path_factory):
+    """The bytes of an image, a mask and a distance map as `gen` writes
+    them, each with the reader that must parse them."""
+    root = tmp_path_factory.mktemp("rasters")
+    rec = read_manifest(make_dataset(root / "ds", n_train=1, n_test=1, seed=3))[0]
+    return {"image": (rec.image.read_bytes(), imgio.read_pgm_image),
+            "mask": (rec.mask.read_bytes(), imgio.read_pgm_mask),
+            "dmap": (rec.dmap.read_bytes(), imgio.read_fmap)}
+
+
+# cuts and flips land in the header half the time
+OFFSETS = st.integers(0, 24) | st.integers(0, 20000)
+
+
+@FUZZ
+@given(st.sampled_from(["image", "mask", "dmap"]), st.none() | OFFSETS,
+       st.lists(st.tuples(OFFSETS, st.integers(0, 7)), max_size=4))
+def test_raster_readers_raise_only_package_errors(real_rasters, which, cut, flips):
+    blob, reader = real_rasters[which]
+    data = bytearray(blob if cut is None else blob[: cut % (len(blob) + 1)])
+    for at, bit in flips:
+        if data:
+            data[at % len(data)] ^= 1 << bit
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "raster"
+        path.write_bytes(bytes(data))
+        try:
+            reader(path)
+        except BoundsegError:
+            pass

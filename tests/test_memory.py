@@ -1,13 +1,15 @@
 """What the layers hold: each activation once, only until the backward
 that needs it has run, and nothing after an inference forward; what the
 conv and pool ops allocate while they run; what loading a model
-allocates; and what thinning a contour band allocates."""
+allocates; and what thinning a contour band and rendering a phantom bean
+allocate."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from boundseg import phantom
 from boundseg.contour import thin
 from boundseg.errors import ShapeMismatch
 from boundseg.models import (
@@ -336,3 +338,14 @@ def test_thin_allocates_in_proportion_to_the_band():
     skeleton, peak = traced_peak(thin, ring)
     assert skeleton.any() and not (skeleton & ~ring).any()
     assert peak < 8 * ring.size, peak / ring.size
+
+
+def test_render_bean_allocates_in_proportion_to_the_bean():
+    """Half-axes of about 8 px in a 2000² frame: the one-byte output is the
+    only frame-sized allocation, so the peak stays under 2 bytes per frame
+    pixel.  Whole-frame float64 coordinates peaked at 80."""
+    n = 2000
+    mask, peak = traced_peak(phantom._render_bean, (n, n), (1000.3, 999.6),
+                             (8.0, 6.5), 0.7, 0.3)
+    assert mask.dtype == np.uint8 and 100 < int(mask.sum()) < 170
+    assert peak < 2 * mask.size, peak / mask.size

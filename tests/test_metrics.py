@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from boundseg.distmap import boundary_pixels
+from boundseg.distmap import boundary_pixels, euclidean_dt
 from boundseg.errors import (
     EmptyMask,
     IoFailure,
@@ -29,6 +31,7 @@ from boundseg.metrics import (
     wilcoxon_signed_rank,
     write_report,
 )
+from boundseg.phantom import generate_sample
 
 
 def brute_force_mbd(a, b):
@@ -174,6 +177,49 @@ def test_metrics_translation_invariant():
     assert dice(a, b) == dice(a2, b2)
     assert pixel_accuracy(a, b) == pixel_accuracy(a2, b2)
     assert mean_boundary_distance(a, b) == mean_boundary_distance(a2, b2)
+
+
+def oracle_mean_boundary_distance(a, b):
+    """The whole-frame transforms that the joint-box ones replaced."""
+    pa, pb = boundary_pixels(a), boundary_pixels(b)
+    dist_to_b = euclidean_dt(pb, a.shape)
+    dist_to_a = euclidean_dt(pa, a.shape)
+    m_ab = float(dist_to_b[pa[:, 0], pa[:, 1]].mean())
+    m_ba = float(dist_to_a[pb[:, 0], pb[:, 1]].mean())
+    return 0.5 * (m_ab + m_ba)
+
+
+ORACLE = settings(derandomize=True, deadline=None, database=None, max_examples=150)
+
+
+@st.composite
+def patch_masks(draw, shape):
+    """A random-density blob of pixels in a random window of the frame
+    (touching an edge, or not), never empty."""
+    h, w = shape
+    y0, x0 = draw(st.integers(0, h - 1)), draw(st.integers(0, w - 1))
+    y1, x1 = draw(st.integers(y0 + 1, h)), draw(st.integers(x0 + 1, w))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = np.zeros(shape, np.uint8)
+    m[y0:y1, x0:x1] = rng.random((y1 - y0, x1 - x0)) < draw(st.floats(0.05, 1.0))
+    m[draw(st.integers(y0, y1 - 1)), draw(st.integers(x0, x1 - 1))] = 1
+    return m
+
+
+@ORACLE
+@given(st.tuples(st.integers(16, 400), st.integers(16, 400)).flatmap(
+    lambda shape: st.tuples(patch_masks(shape), patch_masks(shape))))
+def test_mbd_matches_the_whole_frame_oracle_on_random_masks(pair):
+    assert mean_boundary_distance(*pair) == oracle_mean_boundary_distance(*pair)
+
+
+@settings(ORACLE, max_examples=60)
+@given(st.sampled_from([(64, 64), (100, 57), (60, 150), (321, 321)]),
+       st.integers(0, 10**6), st.integers(0, 50), st.integers(0, 50))
+def test_mbd_matches_the_whole_frame_oracle_on_phantom_pairs(frame, seed, i, j):
+    a = generate_sample(frame, seed, i)[1]
+    b = generate_sample(frame, seed, j)[1]
+    assert mean_boundary_distance(a, b) == oracle_mean_boundary_distance(a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from boundseg import phantom
-from boundseg.errors import EmptyMask, InvalidParams, ShapeMismatch
+from boundseg import distmap, phantom
+from boundseg.errors import InvalidParams, ShapeMismatch
 from boundseg.imgio import read_fmap, read_pgm_image, read_pgm_mask
 from boundseg.metrics import dice
 from boundseg.phantom import (
@@ -157,6 +159,69 @@ def test_generate_sample_deterministic_in_index():
     assert a_img.tobytes() == b_img.tobytes()
     assert np.array_equal(a_mask, b_mask)
     assert a_params == b_params
+
+
+def oracle_render_bean(frame, center, half_axes, angle, notch):
+    """The whole-frame renderer that the bounding-box one replaced."""
+    h, w = frame
+    cy, cx = center
+    a, b = half_axes
+    yy, xx = np.mgrid[0:h, 0:w].astype(np.float64)
+    cos_t, sin_t = math.cos(angle), math.sin(angle)
+    u = (yy - cy) * cos_t + (xx - cx) * sin_t
+    v = -(yy - cy) * sin_t + (xx - cx) * cos_t
+    ru = u / a
+    rv = v / b
+    r = np.hypot(ru, rv)
+    theta = np.arctan2(rv, ru)
+    radius = 1.0 - notch * ((1.0 + np.cos(theta)) / 2.0) ** 2
+    return (r <= radius).astype(np.uint8)
+
+
+@st.composite
+def beans(draw):
+    """Frames of 16 to 400 px a side, square or not; centres anywhere in
+    the frame or within a few pixels of an edge, on either side of it;
+    half-axes from 1 px to past the frame; any angle; notch 0 or not."""
+    h, w = draw(st.integers(16, 400)), draw(st.integers(16, 400))
+
+    def coord(n):
+        return draw(st.floats(-4.0, 4.0) | st.floats(n - 5.0, n + 3.0) | st.floats(0.0, n))
+
+    axis = st.floats(1.0, 30.0) | st.floats(1.0, 1.5 * max(h, w))
+    angle = st.floats(-20.0, 20.0) | st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 4])
+    return ((h, w), (coord(h), coord(w)), (draw(axis), draw(axis)), draw(angle),
+            draw(st.just(0.0) | st.floats(0.0, 0.6)))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=400)
+@given(beans())
+@example(((321, 321), (160.0, 160.0), (80.0, 50.0), 0.4, 0.3))
+@example(((16, 200), (15.9, 0.1), (6.0, 90.0), 1.0, 0.0))
+@example(((100, 57), (-3.0, 60.0), (200.0, 7.0), -2.5, 0.6))
+def test_render_bean_matches_the_whole_frame_oracle(bean):
+    got = phantom._render_bean(*bean)
+    assert got.dtype == np.uint8 and got.shape == bean[0]
+    assert got.tobytes() == oracle_render_bean(*bean).tobytes()
+
+
+def test_make_dataset_computes_one_transform_per_sample(tmp_path, monkeypatch):
+    """One exact transform per drawn sample gives both its cortex rim and
+    its written map, and one more per augmented variant gives its map."""
+    calls, transform = [], distmap.euclidean_dt
+
+    def counted(sites, shape):
+        calls.append(shape)
+        return transform(sites, shape)
+
+    monkeypatch.setattr(phantom, "euclidean_dt", counted)
+    monkeypatch.setattr(distmap, "euclidean_dt", counted)
+    manifest = make_dataset(tmp_path / "ds", n_train=3, n_test=2, seed=7, augment=2)
+    assert len(calls) == 3 + 2 + 3 * 2
+    monkeypatch.undo()
+    for r in read_manifest(manifest):
+        assert read_fmap(r.dmap).tobytes() == \
+            distmap.mask_to_distance_map(read_pgm_mask(r.mask)).tobytes(), r.id
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +376,7 @@ def test_make_dataset_augmented_variants(tmp_path):
         assert MIN_AREA_FRACTION <= frac <= MAX_AREA_FRACTION
 
 
-@pytest.mark.parametrize("name", ["elastic_augment", "_check_area", "boundary_pixels"])
+@pytest.mark.parametrize("name", ["elastic_augment", "_check_area"])
 def test_augmentation_does_not_retry_other_failures(monkeypatch, name):
     img, mask = gen_sample(PhantomParams(seed=3))
     calls = []
@@ -326,7 +391,7 @@ def test_augmentation_does_not_retry_other_failures(monkeypatch, name):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("error", [InvalidParams, EmptyMask])
+@pytest.mark.parametrize("error", [InvalidParams])
 def test_augmentation_retries_a_draw_that_breaks_the_bounds(monkeypatch, error):
     img, mask = gen_sample(PhantomParams(seed=3))
     calls = []
@@ -336,7 +401,7 @@ def test_augmentation_retries_a_draw_that_breaks_the_bounds(monkeypatch, error):
         if len(calls) == 1:
             raise error("bad draw")
 
-    monkeypatch.setattr(phantom, "boundary_pixels", fails_once)
+    monkeypatch.setattr(phantom, "_check_area", fails_once)
     img2, mask2 = phantom._augmented(img, mask, 0, 0, 0)
     assert len(calls) == 2 and img2.shape == mask2.shape == img.shape
 

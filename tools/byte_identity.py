@@ -6,7 +6,11 @@ PARENT and CHILD are the roots of two checkouts (each with `src/boundseg`).
 In each, with BLAS pinned to one thread and the program imported from that
 checkout's `src`, this runs the same recipe in a fresh directory:
 
-- `gen` of a 64² dataset (12 train, 8 test, seed 5);
+- `gen` of a 64² dataset (12 train, 8 test, seed 5) and of a 321² one
+  with `--augment 1` (2 train, 1 test, seed 9); and `make_dataset` of a
+  100×57 and a 60×150 dataset (3 train, 2 test, one augmented variant
+  each) whose centre jitter pushes the beans against the right and the top
+  edge, so that a bean's bounding box is clipped by the frame;
 - desk `train` for 2 and for 12 epochs (batch 4, seed 3), a
   regression-only `train` (lambda pinned at 1, 2 epochs), a
   classification-only one (lambda pinned at 0, 2 epochs) and one whose
@@ -18,10 +22,10 @@ checkout's `src`, this runs the same recipe in a fresh directory:
   the sidecar and the log;
 - `segment` of every test image with each of the six checkpoints, in
   classifier mode with `--overlay` and in `--mode brn --tau 0.2`;
-- `eval` of the regression-only model's classifier masks against the
-  ground truth, with the ground truth as the compared set (after so few
-  epochs the desk models' classifier masks are empty, and a parent whose
-  `eval` still stops at an empty mask could not be compared on them);
+- `eval` of each model's classifier masks against the ground truth
+  (after so few epochs most of them are empty, which `eval` scores), and
+  of the regression-only model's with the ground truth as the compared
+  set;
 - one `reference_config()` SGD step (321², batch 1, lr 0.01, seed 7),
   with its checkpoint saved;
 - `segment` of that dataset's 321² test image with the reference
@@ -29,14 +33,16 @@ checkout's `src`, this runs the same recipe in a fresh directory:
   scale and the odd pool sizes (321 -> 161 -> 81 -> 41, each with a
   partial last window) run forward;
 - `contour.brn_segment` at tau 0.2 and at the default tau on every
-  ground-truth distance map of both datasets; on a ring cut into three
+  ground-truth distance map of every dataset above; on a ring cut into three
   arcs, which only the fallback link radius joins; on the maps of discs
   clipped by a frame corner and by each frame edge; and on two disjoint
   rings of different sizes.  The clipped and the paired shapes are where
   an error in cropping to the band's bounding box, or in pasting the
   mask back, would show.  Each writes its mask, or the class and
   message of the error it raised.  The desk models' BRN segments above
-  mostly fail, so these runs are what check the contours.
+  mostly fail, so these runs are what check the contours;
+- `eval` of the 321² dataset's BRN masks at tau 0.2 against their ground
+  truth, so the boundary distance runs on large boundaries.
 
 Every file written and every command's exit code, stdout and stderr are
 kept.  The two output trees are then compared file by file; only the
@@ -73,6 +79,14 @@ TRAIN_CONFIGS = {
                   "epochs = 1\nlr = 0.05\nmomentum = 0.5\nbatch_size = 3\nseed = 4\n",
 }
 
+NON_SQUARE = """\
+from boundseg import phantom
+phantom.make_dataset("tall", 3, 2, 13, frame=(100, 57), augment=1,
+                     ranges={"center_jitter": (0.25, 0.35)})
+phantom.make_dataset("wide", 3, 2, 17, frame=(60, 150), augment=1,
+                     ranges={"center_jitter": (-0.35, -0.25)})
+"""
+
 REFERENCE_STEP = """\
 from boundseg import models, phantom
 manifest = phantom.make_dataset("ref", 1, 1, 7, frame=(321, 321))
@@ -92,7 +106,7 @@ ring = np.zeros((24, 24), dtype=np.float32)
 ring[4, 4:20] = ring[19, 4:20] = ring[4:20, 4] = ring[4:20, 19] = 1.0
 ring[4, 10:12] = ring[12:14, 19] = ring[19, 8:10] = 0.0
 maps = [(f"{root}-{rec.id}", imgio.read_fmap(rec.dmap))
-        for root in ("d64", "ref")
+        for root in ("d64", "ref", "d321", "tall", "wide")
         for rec in phantom.read_manifest(Path(root) / "manifest.tsv")]
 maps.append(("fragmented-ring", ring))
 ii, jj = np.mgrid[0:80, 0:96]
@@ -146,19 +160,25 @@ class Runner:
         return self.run("-m", "boundseg", "--threads", "1", *args)
 
 
+def manifest_rows(path: Path) -> list[list[str]]:
+    """(id, image, mask, dmap, split) of each row of a dataset manifest."""
+    return [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")]
+
+
 def recipe(tree: Path, out: Path) -> None:
     r = Runner(tree, out)
-    if r.cli("gen", "--out", "d64", "--n-train", "12", "--n-test", "8",
-             "--size", "64", "--seed", "5"):
-        raise SystemExit(f"{tree}: gen failed; see {out / 'runs'}")
+    for size, counts, seed, augment in (("64", ("12", "8"), "5", "0"),
+                                        ("321", ("2", "1"), "9", "1")):
+        if r.cli("gen", "--out", f"d{size}", "--n-train", counts[0], "--n-test", counts[1],
+                 "--size", size, "--seed", seed, "--augment", augment):
+            raise SystemExit(f"{tree}: gen failed; see {out / 'runs'}")
+    r.run("-c", NON_SQUARE)
     for name, text in TRAIN_CONFIGS.items():
         (out / f"{name}.cfg").write_text(text, encoding="utf-8")
         r.cli("train", "--config", f"{name}.cfg", "--data", "d64", "--out", f"{name}.bseg")
-    rows = [line.split("\t") for line in
-            (out / "d64" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
-            if not line.startswith("#")]
-    tests = [(sample, image, mask) for sample, image, mask, _, split in rows
-             if split == "test"]
+    tests = [(sample, image, mask) for sample, image, mask, _, split
+             in manifest_rows(out / "d64" / "manifest.tsv") if split == "test"]
     (out / "gt").mkdir()
     for sample, _, mask in tests:
         shutil.copyfile(out / "d64" / mask, out / "gt" / f"{sample}.pgm")
@@ -175,16 +195,25 @@ def recipe(tree: Path, out: Path) -> None:
                 else:
                     args += ["--overlay", f"overlays/{name}/{sample}.pgm"]
                 r.cli(*args)
+    for name in TRAIN_CONFIGS:
+        r.cli("eval", "--pred", f"masks/{name}-classifier", "--gt", "gt",
+              "--report", f"eval-{name}.tsv")
     r.cli("eval", "--pred", "masks/brn2-classifier", "--gt", "gt", "--compare", "gt",
           "--report", "eval.tsv")
     r.run("-c", REFERENCE_STEP)
-    ref_rows = [line.split("\t") for line in
-                (out / "ref" / "manifest.tsv").read_text(encoding="utf-8").splitlines()
-                if not line.startswith("#")]
-    (image,) = [image for _, image, _, _, split in ref_rows if split == "test"]
+    (image,) = [image for _, image, _, _, split
+                in manifest_rows(out / "ref" / "manifest.tsv") if split == "test"]
     r.cli("segment", "--ckpt", "ref/step.bseg", "--image", f"ref/{image}",
           "--out", "ref/segment.pgm")
     r.run("-c", BRN_CONTOURS)
+    for sub in ("brn321", "gt321"):
+        (out / sub).mkdir()
+    for sample, _, mask, _, _ in manifest_rows(out / "d321" / "manifest.tsv"):
+        brn = out / "brn" / f"d321-{sample}-tau0.2.pgm"
+        if brn.is_file():
+            shutil.copyfile(brn, out / "brn321" / f"{sample}.pgm")
+            shutil.copyfile(out / "d321" / mask, out / "gt321" / f"{sample}.pgm")
+    r.cli("eval", "--pred", "brn321", "--gt", "gt321", "--report", "eval-brn321.tsv")
 
 
 def differences(a: Path, b: Path) -> tuple[list[str], int]:
